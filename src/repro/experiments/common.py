@@ -122,8 +122,17 @@ def print_figure(
 def total_energy_by_system(
     results: Iterable[RunResult], builders: Dict[str, SystemBuilder]
 ) -> Dict[str, EnergyBreakdown]:
-    """Sum the per-run energy breakdown over all workloads, per system."""
-    accountants = {name: build_accountant(builder()) for name, builder in builders.items()}
+    """Sum the per-run energy breakdown over all workloads, per system.
+
+    Registry specs carry their energy model, so no hierarchy is built; only
+    ad hoc builders are built once to read their composition.
+    """
+    accountants = {
+        name: builder.energy()
+        if isinstance(builder, BuilderSpec) and builder.energy is not None
+        else build_accountant(builder())
+        for name, builder in builders.items()
+    }
     totals: Dict[str, EnergyBreakdown] = {
         name: EnergyBreakdown({group: 0.0 for group in ALL_GROUPS}) for name in builders
     }

@@ -26,6 +26,7 @@ array order, so for a given model and seed the two backends produce
 from __future__ import annotations
 
 import bisect
+import importlib.util
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,12 +36,16 @@ from repro.common.errors import ConfigurationError
 from repro.cpu.isa import Instruction, InstrClass
 from repro.cpu.trace import Trace
 
-try:  # numpy ships with the container toolchain but is not strictly required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+#: numpy is optional and costly to import, so it is located here but only
+#: imported by the first vectorized synthesis (:func:`_numpy`).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-HAVE_NUMPY = _np is not None
+
+@lru_cache(maxsize=None)
+def _numpy():
+    import numpy
+
+    return numpy
 
 #: Class codes used internally by the samplers (order of the thresholds).
 _CODE_TO_CLASS = (
@@ -74,9 +79,10 @@ class UniformSource:
             version, state, _ = self._rng.getstate()
             if version != 3:  # pragma: no cover - CPython invariant
                 raise ConfigurationError("unexpected random.Random state version")
-            self._np_rng = _np.random.RandomState()
+            np = _numpy()
+            self._np_rng = np.random.RandomState()
             self._np_rng.set_state(
-                ("MT19937", _np.array(state[:-1], dtype=_np.uint32), state[-1])
+                ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1])
             )
 
     def draw(self, count: int):
@@ -207,7 +213,7 @@ def _zipf_cdf(num_items: int, exponent: float) -> Tuple[float, ...]:
 def _zipf_cdf_array(num_items: int, exponent: float):
     """ndarray form of :func:`_zipf_cdf`, cached separately so the
     vectorized backend does not re-convert a large tuple per build."""
-    return _np.asarray(_zipf_cdf(num_items, exponent))
+    return _numpy().asarray(_zipf_cdf(num_items, exponent))
 
 
 @lru_cache(maxsize=64)
@@ -312,7 +318,7 @@ def _build_trace(
 
 # --------------------------------------------------------------------------- vectorized backend
 def _synthesize_numpy(model: TraceModel, n: int, source: UniformSource):
-    np = _np
+    np = _numpy()
     c_load, c_store, c_branch, c_fp = _class_thresholds(model)
     thresholds = np.array([c_load, c_store, c_branch, c_fp])
     codes = np.searchsorted(thresholds, source.draw(n), side="right")

@@ -10,15 +10,17 @@ in exactly one place:
   (Fig. 1(b));
 * ``build_dnuca_hierarchy`` — the DN-4x8 baseline (Fig. 1(c));
 * ``build_lnuca_dnuca_hierarchy`` — LNx + DN-4x8 (Fig. 1(d));
-* ``build_accountant`` — the matching Table I energy model for any of the
-  four system types.
+* ``conventional_energy`` / ``lnuca_l3_energy`` / ``dnuca_energy`` /
+  ``lnuca_dnuca_energy`` — the matching Table I energy models, built from
+  the level configurations alone (no hierarchy is constructed);
+* ``build_accountant`` — the same energy model for an already-built system.
 
 For the declarative run-plan layer (:mod:`repro.sim.plan`) the four system
 types are also exposed as *digestable* :class:`BuilderSpec`\\ s
 (``conventional_spec`` / ``lnuca_l3_spec`` / ``dnuca_spec`` /
 ``lnuca_dnuca_spec``): a builder plus a canonical parameter description
 whose digest keys the content-addressed result cache and the prewarm
-snapshot store.
+snapshot store, plus the energy-model constructor for the same system.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.cache import CacheConfig, TimedCache
@@ -68,11 +70,17 @@ class BuilderSpec:
     raw lambdas handed to ``run_suite`` — which then run uncached).  The
     spec is callable, so every API that accepted a plain builder callable
     accepts a ``BuilderSpec`` unchanged.
+
+    ``energy`` builds the system's :class:`EnergyAccountant` without
+    building the system (``None`` for ad hoc builders).  It is derived from
+    the same parameters as ``factory``, so it takes no part in equality or
+    the digest.
     """
 
     key: str
     factory: Callable[[], MemorySystem]
     params: Optional[str] = None
+    energy: Optional[Callable[[], EnergyAccountant]] = field(default=None, compare=False)
 
     def __call__(self) -> MemorySystem:
         return self.factory()
@@ -103,14 +111,20 @@ def _canonical(value):
     )
 
 
-def builder_spec(key: str, factory: Callable[[], MemorySystem], **params) -> BuilderSpec:
-    """Wrap ``factory`` as a digestable :class:`BuilderSpec`.
+def builder_spec(
+    key: str,
+    factory: Callable[[], MemorySystem],
+    *,
+    energy: Optional[Callable[[], EnergyAccountant]] = None,
+    **params,
+) -> BuilderSpec:
+    """Wrap ``factory`` (and its ``energy`` model) as a digestable :class:`BuilderSpec`.
 
     ``params`` must fully determine what ``factory`` builds; they are
     canonicalised (dataclasses and tuples included) into the digest.
     """
     blob = json.dumps(_canonical(params), sort_keys=True)
-    return BuilderSpec(key=key, factory=factory, params=blob)
+    return BuilderSpec(key=key, factory=factory, params=blob, energy=energy)
 
 # Dynamic energies for tag-only probes, as a fraction of a full read.
 _TAG_PROBE_FRACTION = 0.35
@@ -195,6 +209,12 @@ def dnuca_config() -> DNUCAConfig:
 
 
 # --------------------------------------------------------------------------- systems
+def lnuca_config(levels: int, **overrides) -> LNUCAConfig:
+    """The LN``levels`` design point with the Table I r-tile; ``overrides``
+    are further :class:`~repro.core.config.LNUCAConfig` fields."""
+    return LNUCAConfig(levels=levels, rtile=default_rtile_config(), **overrides)
+
+
 def build_conventional_hierarchy(l2_size_kb: int = 256) -> ConventionalHierarchy:
     """The three-level baseline: L1-32KB / L2 / L3-8MB / memory."""
     levels = [
@@ -215,8 +235,7 @@ def build_lnuca_l3_hierarchy(levels: int, **overrides) -> LightNUCA:
         name="L3-backside",
         extra_bus_hops=1,
     )
-    config = LNUCAConfig(levels=levels, rtile=default_rtile_config(), **overrides)
-    return LightNUCA(config, backside)
+    return LightNUCA(lnuca_config(levels, **overrides), backside)
 
 
 def build_dnuca_hierarchy() -> DNUCASystem:
@@ -237,8 +256,7 @@ def build_lnuca_dnuca_hierarchy(levels: int, **overrides) -> LightNUCA:
         l1=None,
         name="DN-4x8-backside",
     )
-    config = LNUCAConfig(levels=levels, rtile=default_rtile_config(), **overrides)
-    system = LightNUCA(config, backside)
+    system = LightNUCA(lnuca_config(levels, **overrides), backside)
     system.stats.set("plus_dnuca", 1.0)
     return system
 
@@ -247,14 +265,16 @@ def build_lnuca_dnuca_hierarchy(levels: int, **overrides) -> LightNUCA:
 def conventional_spec(l2_size_kb: int = 256) -> BuilderSpec:
     """:func:`build_conventional_hierarchy` as a digestable spec.
 
-    The factory is a :func:`functools.partial` of the module-level builder
-    (not a lambda) so the spec pickles by reference: the persistent worker
-    pool ships :class:`BuilderSpec`\\ s to already-running processes instead
-    of relying on fork-time memory inheritance.
+    The factory and energy model are :func:`functools.partial`\\ s of
+    module-level functions (not lambdas) so the spec pickles by reference:
+    the persistent worker pool ships :class:`BuilderSpec`\\ s to
+    already-running processes instead of relying on fork-time memory
+    inheritance.
     """
     return builder_spec(
         f"conventional:l2={l2_size_kb}KB",
         functools.partial(build_conventional_hierarchy, l2_size_kb),
+        energy=functools.partial(conventional_energy, l2_size_kb),
         l2_size_kb=l2_size_kb,
     )
 
@@ -264,11 +284,13 @@ def lnuca_l3_spec(levels: int, **overrides) -> BuilderSpec:
 
     ``overrides`` are the :class:`~repro.core.config.LNUCAConfig` keyword
     overrides the ablations use (``routing_policy``, ``buffer_depth``,
-    ``tile`` ...); they are canonicalised into the digest.
+    ``tile`` ...); they are canonicalised into the digest and shape the
+    energy model too.
     """
     return builder_spec(
         f"lnuca-l3:levels={levels}",
         functools.partial(build_lnuca_l3_hierarchy, levels, **overrides),
+        energy=functools.partial(lnuca_l3_energy, lnuca_config(levels, **overrides)),
         levels=levels,
         **overrides,
     )
@@ -276,7 +298,7 @@ def lnuca_l3_spec(levels: int, **overrides) -> BuilderSpec:
 
 def dnuca_spec() -> BuilderSpec:
     """:func:`build_dnuca_hierarchy` as a digestable spec."""
-    return builder_spec("dnuca:4x8", build_dnuca_hierarchy)
+    return builder_spec("dnuca:4x8", build_dnuca_hierarchy, energy=dnuca_energy)
 
 
 def lnuca_dnuca_spec(levels: int, **overrides) -> BuilderSpec:
@@ -284,83 +306,121 @@ def lnuca_dnuca_spec(levels: int, **overrides) -> BuilderSpec:
     return builder_spec(
         f"lnuca-dnuca:levels={levels}",
         functools.partial(build_lnuca_dnuca_hierarchy, levels, **overrides),
+        energy=functools.partial(lnuca_dnuca_energy, lnuca_config(levels, **overrides)),
         levels=levels,
         **overrides,
     )
 
 
 # --------------------------------------------------------------------------- energy models
+# The Table I energy models are pure functions of the level configurations:
+# they read energies and leakages off the configs and never build a cache.
+def _accountant(name: str) -> EnergyAccountant:
+    return EnergyAccountant(cycle_time_ns=CYCLE_TIME_NS, name=f"energy[{name}]")
+
+
 def _add_l1_dynamic(accountant: EnergyAccountant, prefix: str, energy_pj: float) -> None:
     accountant.add_dynamic(f"{prefix}.read_accesses", energy_pj)
     accountant.add_dynamic(f"{prefix}.write_accesses", energy_pj)
     accountant.add_dynamic(f"{prefix}.fills", energy_pj)
 
 
-def build_accountant(system: MemorySystem) -> EnergyAccountant:
-    """Return the Table I energy model matching ``system``'s composition."""
-    router = RouterEnergyModel()
-    accountant = EnergyAccountant(cycle_time_ns=CYCLE_TIME_NS, name=f"energy[{system.name}]")
-
-    if isinstance(system, ConventionalHierarchy):
-        accountant.add_static("L1", GROUP_L1_RT, l1_config().leakage_mw)
-        accountant.add_static("L2", GROUP_L2_RESTT, l2_config().leakage_mw)
-        accountant.add_static("L3", GROUP_L3_DNUCA, l3_config().leakage_mw)
-        _add_l1_dynamic(accountant, "L1", l1_config().read_energy_pj)
-        _add_l1_dynamic(accountant, "L2", l2_config().read_energy_pj)
-        _add_l1_dynamic(accountant, "L3", l3_config().read_energy_pj)
-        return accountant
-
-    if isinstance(system, DNUCASystem):
-        cfg = system.dnuca.config
-        accountant.add_static("L1", GROUP_L1_RT, l1_config().leakage_mw)
-        accountant.add_static(
-            "DNUCA-banks", GROUP_L3_DNUCA, cfg.leakage_mw_per_bank, count=cfg.num_banks
-        )
-        _add_l1_dynamic(accountant, "L1", l1_config().read_energy_pj)
-        _register_dnuca_dynamic(accountant, system.dnuca, router)
-        return accountant
-
-    if isinstance(system, LightNUCA):
-        lnuca_cfg = system.config
-        accountant.add_static("L1-RT", GROUP_L1_RT, lnuca_cfg.rtile.leakage_mw)
-        accountant.add_static(
-            "tiles", GROUP_L2_RESTT, lnuca_cfg.tile.leakage_mw, count=lnuca_cfg.num_tiles
-        )
-        _add_l1_dynamic(accountant, "L1-RT", lnuca_cfg.rtile.read_energy_pj)
-        tile_read = lnuca_cfg.tile.read_energy_pj
-        accountant.add_dynamic("tiles.search_lookups", tile_read * _TAG_PROBE_FRACTION)
-        accountant.add_dynamic("tiles.hits", tile_read * (1.0 - _TAG_PROBE_FRACTION))
-        accountant.add_dynamic("tiles.fills", lnuca_cfg.tile.write_energy_pj)
-        hop = router.lnuca_hop_energy_pj()
-        accountant.add_dynamic("transport_net.link_traversals", hop)
-        accountant.add_dynamic("replacement_net.link_traversals", hop)
-        accountant.add_dynamic("search_net.link_traversals", router.search_hop_energy_pj())
-        backside = system.backside
-        if isinstance(backside, DNUCASystem):
-            cfg = backside.dnuca.config
-            accountant.add_static(
-                "DNUCA-banks", GROUP_L3_DNUCA, cfg.leakage_mw_per_bank, count=cfg.num_banks
-            )
-            _register_dnuca_dynamic(accountant, backside.dnuca, router)
-        elif isinstance(backside, ConventionalHierarchy):
-            accountant.add_static("L3", GROUP_L3_DNUCA, l3_config().leakage_mw)
-            _add_l1_dynamic(accountant, "L3", l3_config().read_energy_pj)
-        else:
-            raise ConfigurationError(
-                f"no energy model for backside of type {type(backside).__name__}"
-            )
-        return accountant
-
-    raise ConfigurationError(f"no energy model for system of type {type(system).__name__}")
-
-
-def _register_dnuca_dynamic(
-    accountant: EnergyAccountant, dnuca: DNUCACache, router: RouterEnergyModel
-) -> None:
-    cfg = dnuca.config
-    name = dnuca.name
+def _add_dnuca(accountant: EnergyAccountant, cfg: DNUCAConfig, name: str) -> None:
+    accountant.add_static(
+        "DNUCA-banks", GROUP_L3_DNUCA, cfg.leakage_mw_per_bank, count=cfg.num_banks
+    )
     accountant.add_dynamic(f"{name}.bank_lookups", cfg.read_energy_pj * _TAG_PROBE_FRACTION)
     accountant.add_dynamic(f"{name}.hits", cfg.read_energy_pj * (1.0 - _TAG_PROBE_FRACTION))
     accountant.add_dynamic(f"{name}.fills", cfg.write_energy_pj)
     accountant.add_dynamic(f"{name}.promotions", 2.0 * cfg.read_energy_pj)
-    accountant.add_dynamic(f"{name}.mesh.link_traversals", router.dnuca_hop_energy_pj())
+    accountant.add_dynamic(
+        f"{name}.mesh.link_traversals", RouterEnergyModel().dnuca_hop_energy_pj()
+    )
+
+
+def _lnuca_accountant(config: LNUCAConfig, name: Optional[str]) -> EnergyAccountant:
+    """The r-tile, tile and network part of every L-NUCA energy model."""
+    router = RouterEnergyModel()
+    accountant = _accountant(name or config.name)
+    accountant.add_static("L1-RT", GROUP_L1_RT, config.rtile.leakage_mw)
+    accountant.add_static("tiles", GROUP_L2_RESTT, config.tile.leakage_mw, count=config.num_tiles)
+    _add_l1_dynamic(accountant, "L1-RT", config.rtile.read_energy_pj)
+    tile_read = config.tile.read_energy_pj
+    accountant.add_dynamic("tiles.search_lookups", tile_read * _TAG_PROBE_FRACTION)
+    accountant.add_dynamic("tiles.hits", tile_read * (1.0 - _TAG_PROBE_FRACTION))
+    accountant.add_dynamic("tiles.fills", config.tile.write_energy_pj)
+    hop = router.lnuca_hop_energy_pj()
+    accountant.add_dynamic("transport_net.link_traversals", hop)
+    accountant.add_dynamic("replacement_net.link_traversals", hop)
+    accountant.add_dynamic("search_net.link_traversals", router.search_hop_energy_pj())
+    return accountant
+
+
+def conventional_energy(l2_size_kb: int = 256, name: Optional[str] = None) -> EnergyAccountant:
+    """Energy model of :func:`build_conventional_hierarchy`."""
+    accountant = _accountant(name or f"L2-{l2_size_kb}KB")
+    levels = (
+        ("L1", GROUP_L1_RT, l1_config()),
+        ("L2", GROUP_L2_RESTT, l2_config(l2_size_kb)),
+        ("L3", GROUP_L3_DNUCA, l3_config()),
+    )
+    for prefix, group, config in levels:
+        accountant.add_static(prefix, group, config.leakage_mw)
+    for prefix, _, config in levels:
+        _add_l1_dynamic(accountant, prefix, config.read_energy_pj)
+    return accountant
+
+
+def dnuca_energy(
+    dnuca: Optional[DNUCAConfig] = None, name: str = "DN-4x8", dnuca_name: str = "DNUCA"
+) -> EnergyAccountant:
+    """Energy model of :func:`build_dnuca_hierarchy` (L1 plus the D-NUCA)."""
+    accountant = _accountant(name)
+    accountant.add_static("L1", GROUP_L1_RT, l1_config().leakage_mw)
+    _add_l1_dynamic(accountant, "L1", l1_config().read_energy_pj)
+    _add_dnuca(accountant, dnuca or dnuca_config(), dnuca_name)
+    return accountant
+
+
+def lnuca_l3_energy(config: LNUCAConfig, name: Optional[str] = None) -> EnergyAccountant:
+    """Energy model of an L-NUCA backed by the 8 MB L3 (:func:`build_lnuca_l3_hierarchy`)."""
+    accountant = _lnuca_accountant(config, name)
+    accountant.add_static("L3", GROUP_L3_DNUCA, l3_config().leakage_mw)
+    _add_l1_dynamic(accountant, "L3", l3_config().read_energy_pj)
+    return accountant
+
+
+def lnuca_dnuca_energy(
+    config: LNUCAConfig,
+    dnuca: Optional[DNUCAConfig] = None,
+    name: Optional[str] = None,
+    dnuca_name: str = "DNUCA",
+) -> EnergyAccountant:
+    """Energy model of an L-NUCA backed by the D-NUCA (:func:`build_lnuca_dnuca_hierarchy`)."""
+    accountant = _lnuca_accountant(config, name)
+    _add_dnuca(accountant, dnuca or dnuca_config(), dnuca_name)
+    return accountant
+
+
+def build_accountant(system: MemorySystem) -> EnergyAccountant:
+    """Return the Table I energy model matching an already-built ``system``.
+
+    Reads only the system's type, name and configs, and delegates to the
+    config-level constructors above, so there is one energy table.
+    """
+    if isinstance(system, ConventionalHierarchy):
+        return conventional_energy(name=system.name)
+    if isinstance(system, DNUCASystem):
+        return dnuca_energy(system.dnuca.config, system.name, system.dnuca.name)
+    if isinstance(system, LightNUCA):
+        backside = system.backside
+        if isinstance(backside, DNUCASystem):
+            return lnuca_dnuca_energy(
+                system.config, backside.dnuca.config, system.name, backside.dnuca.name
+            )
+        if isinstance(backside, ConventionalHierarchy):
+            return lnuca_l3_energy(system.config, system.name)
+        raise ConfigurationError(
+            f"no energy model for backside of type {type(backside).__name__}"
+        )
+    raise ConfigurationError(f"no energy model for system of type {type(system).__name__}")

@@ -1402,7 +1402,9 @@ def collect_stats():
     try:
         yield stats
     finally:
-        _COLLECTORS.remove(stats)
+        # By identity: ``list.remove`` matches by dataclass equality, and
+        # nested collectors holding equal counts would remove each other.
+        _COLLECTORS[:] = [collector for collector in _COLLECTORS if collector is not stats]
 
 
 # ------------------------------------------------------------ in-flight dedup

@@ -1,6 +1,9 @@
 """Tests for the CLI, the report generator, and the coherence hook."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,22 @@ class TestCLI:
         assert (output / "REPORT.md").exists()
         assert (output / "fig4a_ipc.csv").exists()
         assert (output / "table3_hits.csv").exists()
+
+    def test_import_loads_no_heavy_optional_modules(self):
+        """``import repro.cli`` stays cheap: numpy is imported by the first
+        vectorized trace synthesis, the store, server and pool modules by
+        the commands that use them."""
+        heavy = ["numpy", "sqlite3", "http.server", "multiprocessing"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import json, sys; import repro.cli; "
+            f"print(json.dumps([name for name in {heavy!r} if name in sys.modules]))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        assert json.loads(out.strip().splitlines()[-1]) == []
 
 
 class TestReportModule:

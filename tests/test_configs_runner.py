@@ -1,11 +1,21 @@
 """Tests for the Table I configuration presets and the run harness."""
 
+import dataclasses
+
 import pytest
 
+from repro.cache.array import SetAssociativeArray
 from repro.cache.hierarchy import ConventionalHierarchy
+from repro.core.config import TileConfig
 from repro.core.lnuca import LightNUCA
 from repro.dnuca.system import DNUCASystem
 from repro.energy.accounting import GROUP_L2_RESTT, GROUP_L3_DNUCA
+from repro.experiments.common import (
+    conventional_builders,
+    dnuca_builders,
+    total_energy_by_system,
+)
+from repro.experiments.fig6_scenarios import scenario_builders
 from repro.sim.configs import (
     build_accountant,
     build_conventional_hierarchy,
@@ -15,6 +25,7 @@ from repro.sim.configs import (
     l1_config,
     l2_config,
     l3_config,
+    lnuca_l3_spec,
     main_memory_config,
 )
 from repro.sim.runner import ipc_by_category, run_suite, run_workload
@@ -116,6 +127,105 @@ class TestAccountants:
         accountant = build_accountant(build_conventional_hierarchy())
         breakdown = accountant.evaluate(result.activity, result.cycles)
         assert breakdown.group(GROUP_L3_DNUCA) > breakdown.group(GROUP_L2_RESTT)
+
+
+def _registries():
+    """Every builder registry in the repo, ablation overrides included."""
+    ablations = {
+        "routing-random": lnuca_l3_spec(3, routing_policy="random"),
+        "routing-deterministic": lnuca_l3_spec(3, routing_policy="deterministic"),
+        **{f"depth-{depth}": lnuca_l3_spec(3, buffer_depth=depth) for depth in (1, 2, 4)},
+        **{
+            f"tile-{size_kb}KB": lnuca_l3_spec(3, tile=TileConfig(size_bytes=size_kb * 1024))
+            for size_kb in (2, 4, 8)
+        },
+        **{f"LN{levels}": lnuca_l3_spec(levels) for levels in (2, 3, 4, 5)},
+    }
+    return {
+        "fig4": conventional_builders(),
+        "fig5": dnuca_builders(),
+        "fig6": scenario_builders(),
+        "ablations": ablations,
+    }
+
+
+def _registered(accountant):
+    return (
+        accountant.name,
+        accountant.cycle_time_ns,
+        list(accountant._static),
+        list(accountant._dynamic),
+    )
+
+
+_SPECS = [
+    pytest.param(spec, id=f"{registry}:{name}")
+    for registry, builders in _registries().items()
+    for name, spec in builders.items()
+]
+
+
+class TestSpecEnergyModels:
+    """``spec.energy()`` is the same model as ``build_accountant(spec())``."""
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_registers_the_same_components_and_rules(self, spec):
+        assert _registered(spec.energy()) == _registered(build_accountant(spec()))
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_evaluates_every_counter_identically(self, spec):
+        reference = build_accountant(spec())
+        activity = {
+            rule.activity_key: float(1000 + 37 * index)
+            for index, rule in enumerate(reference._dynamic)
+        }
+        assert spec.energy().evaluate(activity, 123457.0) == reference.evaluate(
+            activity, 123457.0
+        )
+
+    def test_recorded_runs_evaluate_identically(self, tiny_workload):
+        """One recorded run per hierarchy type: the per-run breakdowns and
+        the figure totals match the built-system path exactly."""
+        builders = scenario_builders()
+        results = run_suite(builders, [tiny_workload], 800)
+        for result in results:
+            spec = builders[result.system]
+            by_spec = spec.energy().evaluate(result.activity, result.cycles)
+            by_system = build_accountant(spec()).evaluate(result.activity, result.cycles)
+            assert by_spec == by_system
+            assert by_spec.total_joules > 0
+        adhoc = {name: spec.factory for name, spec in builders.items()}
+        assert total_energy_by_system(results, builders) == total_energy_by_system(
+            results, adhoc
+        )
+
+    def test_allocates_no_cache_arrays(self, monkeypatch):
+        built = []
+        original = SetAssociativeArray.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SetAssociativeArray, "__init__", counting_init)
+        for builders in _registries().values():
+            for spec in builders.values():
+                spec.energy()
+        assert built == []
+
+    def test_energy_model_is_outside_equality_and_digest(self):
+        spec = lnuca_l3_spec(3)
+        bare = dataclasses.replace(spec, energy=None)
+        assert bare == spec and hash(bare) == hash(spec)
+        assert bare.digest() == spec.digest()
+
+    def test_specs_with_energy_models_pickle(self):
+        import pickle
+
+        for builders in _registries().values():
+            for spec in builders.values():
+                clone = pickle.loads(pickle.dumps(spec, pickle.HIGHEST_PROTOCOL))
+                assert _registered(clone.energy()) == _registered(spec.energy())
 
 
 class TestRunner:

@@ -431,3 +431,56 @@ class TestWarmReport:
         assert warm_stats.cached == cold_stats.simulated + cold_stats.cached
         for name in artifacts:
             assert open(os.path.join(out, name), "rb").read() == first_bytes[name], name
+
+    def test_warm_report_builds_no_hierarchy(self, tmp_path, cache, monkeypatch):
+        """A warm report pays for cache reads and rendering only: it builds
+        no hierarchy (energy models come from the builder specs) and
+        allocates no cache array."""
+        from repro.cache.array import SetAssociativeArray
+        from repro.experiments import report as report_module
+        from repro.sim import configs
+
+        out = str(tmp_path / "out")
+        report_module.write_report(out, num_instructions=300, per_category=1, cache=cache)
+        built = []
+        for name in (
+            "build_conventional_hierarchy",
+            "build_lnuca_l3_hierarchy",
+            "build_dnuca_hierarchy",
+            "build_lnuca_dnuca_hierarchy",
+        ):
+            def counting(*args, _name=name, _original=getattr(configs, name), **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(configs, name, counting)
+        arrays = []
+        original_init = SetAssociativeArray.__init__
+
+        def counting_init(array, *args, **kwargs):
+            arrays.append(array)
+            original_init(array, *args, **kwargs)
+
+        monkeypatch.setattr(SetAssociativeArray, "__init__", counting_init)
+        with plan.collect_stats() as warm_stats:
+            report_module.write_report(out, num_instructions=300, per_category=1, cache=cache)
+        assert warm_stats.simulated == 0 and warm_stats.cached > 0
+        assert built == []
+        assert arrays == []
+
+
+# ------------------------------------------------------------- stats sinks
+class TestCollectStats:
+    def test_nested_collectors_are_removed_by_identity(self):
+        """An inner collector exiting with counts equal to the outer's must
+        remove itself, not the outer one."""
+        compiled = compile_sweep(
+            {"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY
+        )
+        with plan.collect_stats() as outer:
+            with plan.collect_stats() as inner:
+                assert inner == outer  # both still all-zero
+            execute(compiled)
+        assert outer.simulated == 1
+        assert inner.simulated == 0
+        assert not any(collector is outer for collector in plan._COLLECTORS)
