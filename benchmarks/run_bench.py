@@ -24,6 +24,8 @@ stage set:
 
 * ``micro_*`` — throughput of the inner loops every experiment relies on
   (array fill/lookup, a full L-NUCA miss search, trace generation, the
+  hierarchy set-up a report pays per job — factory, prewarm and snapshot
+  pickle, plus the exact count of objects one build adds — the
   scenario engine's vectorized-vs-scalar-vs-legacy synthesis, binary
   trace capture/replay, the repeated-sweep micro comparing the plan
   layer's snapshot+pool and warm-cache paths against the direct path,
@@ -61,7 +63,12 @@ from repro.cache.request import AccessType  # noqa: E402
 from repro.core.config import LNUCAConfig  # noqa: E402
 from repro.core.lnuca import LightNUCA  # noqa: E402
 from repro.cpu.workloads import generate_trace, integer_suite, workload_by_name  # noqa: E402
-from repro.experiments.common import conventional_builders, select_workloads  # noqa: E402
+from repro.experiments.common import (  # noqa: E402
+    DEFAULT_INSTRUCTIONS,
+    conventional_builders,
+    dnuca_builders,
+    select_workloads,
+)
 from repro.sim.configs import l1_config, l2_config, l3_config  # noqa: E402
 from repro.sim.runner import run_suite, run_workload  # noqa: E402
 
@@ -205,6 +212,77 @@ def micro_trace_file(repeat):
         "load_wall_s": load_wall,
         "load_instructions_per_s": n / load_wall,
         "round_trip_identical": True,
+    }
+
+
+#: One system of each type a report builds, for ``micro_build_prewarm``.
+BUILD_PREWARM_SYSTEMS = ("L2-256KB", "LN3-144KB", "DN-4x8", "LN3+DN-4x8")
+
+#: GC-tracked objects one hierarchy build may add.  Sets are allocated on
+#: their first fill, so a fresh build holds geometry only; eagerly
+#: allocated sets cost 4.9k-35.5k objects per build.
+MAX_TRACKED_OBJECTS_PER_BUILD = 1_000
+
+
+def micro_build_prewarm(repeat):
+    """Hierarchy set-up as a report pays it: factory, prewarm, snapshot pickle.
+
+    Times each phase for one system of each report type on one default-size
+    trace (best of ``repeat``), and counts the objects one build adds to the
+    garbage collector's heap — an exact counter, held to
+    ``MAX_TRACKED_OBJECTS_PER_BUILD`` by ``--check-baseline``.
+    """
+    import gc
+    import pickle
+
+    builders = {**conventional_builders(), **dnuca_builders()}
+    spec = workload_by_name("mcf-like")
+    addresses = generate_trace(spec, DEFAULT_INSTRUCTIONS).resident_addresses()
+    systems = {}
+    for name in BUILD_PREWARM_SYSTEMS:
+        factory = builders[name].factory
+        factory()  # one-off imports and interned constants
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            system = factory()
+            tracked = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        del system
+        factory_s, _ = _best_of(repeat, factory)
+        prewarm_s = pickle_s = float("inf")
+        for _ in range(repeat):
+            system = factory()
+            start = time.perf_counter()
+            system.prewarm(addresses)
+            prewarmed = time.perf_counter()
+            blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
+            pickled = time.perf_counter()
+            prewarm_s = min(prewarm_s, prewarmed - start)
+            pickle_s = min(pickle_s, pickled - prewarmed)
+        del system  # freed before the next type's tracked-object count
+        systems[name] = {
+            "factory_s": factory_s,
+            "prewarm_s": prewarm_s,
+            "pickle_s": pickle_s,
+            "blob_bytes": len(blob),
+            "tracked_objects_per_build": tracked,
+        }
+    total = sum(
+        entry["factory_s"] + entry["prewarm_s"] + entry["pickle_s"]
+        for entry in systems.values()
+    )
+    return {
+        "workload": spec.name,
+        "instructions": DEFAULT_INSTRUCTIONS,
+        "systems": systems,
+        "total_wall_s": total,
+        "snapshots_per_s": len(systems) / total,
+        "max_tracked_objects_per_build": max(
+            entry["tracked_objects_per_build"] for entry in systems.values()
+        ),
     }
 
 
@@ -1073,6 +1151,34 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
                 f"hier-batched streak micro regressed {hier_ratio:.2f}x vs "
                 f"{baseline_path} (limit {max_slowdown:.2f}x)"
             )
+    # Build/prewarm micro: the tracked-object count per build is exact, so
+    # it is held to a fixed ceiling; the set-up throughput is held against
+    # the committed baseline like the stages above (absent in BENCH files
+    # older than this stage).
+    build_new = stages["micro_build_prewarm"]
+    tracked = build_new["max_tracked_objects_per_build"]
+    print(
+        f"baseline check: hierarchy build adds at most {tracked:,} tracked objects "
+        f"(limit {MAX_TRACKED_OBJECTS_PER_BUILD:,})"
+    )
+    if tracked > MAX_TRACKED_OBJECTS_PER_BUILD:
+        raise SystemExit(
+            f"a hierarchy build adds {tracked:,} GC-tracked objects "
+            f"(limit {MAX_TRACKED_OBJECTS_PER_BUILD:,}): are sets allocated eagerly?"
+        )
+    build_base = committed.get("micro_build_prewarm")
+    if build_base and build_base.get("snapshots_per_s"):
+        build_ratio = build_base["snapshots_per_s"] / build_new["snapshots_per_s"]
+        print(
+            f"baseline check: build+prewarm+pickle {build_new['snapshots_per_s']:,.1f} "
+            f"systems/s vs committed {build_base['snapshots_per_s']:,.1f} systems/s "
+            f"({build_ratio:.2f}x slowdown, limit {max_slowdown:.2f}x)"
+        )
+        if build_ratio > max_slowdown:
+            raise SystemExit(
+                f"build/prewarm micro regressed {build_ratio:.2f}x vs "
+                f"{baseline_path} (limit {max_slowdown:.2f}x)"
+            )
     # Schedule-store micro: the warm-disk replay throughput, same contract
     # (absent in BENCH files older than the schedule store).
     sched_base = committed.get("micro_sched_store")
@@ -1138,6 +1244,8 @@ def main(argv=None):
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
+    print("micro: hierarchy build, prewarm and snapshot pickle ...", flush=True)
+    stages["micro_build_prewarm"] = micro_build_prewarm(args.repeat)
     print("micro: repeated sweep (direct vs snapshot+pool vs cached) ...", flush=True)
     stages["micro_sweep_cached"] = micro_sweep_cached(args.repeat, args.instructions)
     print("micro: result store vs result cache (warm hits, raw queries) ...", flush=True)
@@ -1230,6 +1338,16 @@ def main(argv=None):
         f"warm-disk replay {sched['store_wall_s']:.3f}s "
         f"({sched['sched_store_speedup_vs_disabled']:.2f}x, bit-identical, "
         f"kill switch symmetric)"
+    )
+    build = stages["micro_build_prewarm"]
+    print(
+        "build/prewarm/pickle ("
+        + ", ".join(
+            f"{name} {entry['factory_s'] * 1e3:.1f}/{entry['prewarm_s'] * 1e3:.1f}/"
+            f"{entry['pickle_s'] * 1e3:.1f} ms"
+            for name, entry in build["systems"].items()
+        )
+        + f"): at most {build['max_tracked_objects_per_build']:,} tracked objects per build"
     )
     gen = stages["micro_scenario_gen"]
     if "vectorized_instructions_per_s" in gen:

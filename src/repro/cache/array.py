@@ -16,6 +16,11 @@ from repro.cache.replacement import LRUPolicy, ReplacementPolicy, make_policy
 from repro.common.addr import block_address, is_power_of_two
 from repro.common.errors import ConfigurationError
 
+#: Tag map of every set that has never been filled.  Shared and never
+#: written: :meth:`SetAssociativeArray.fill` gives a set its own map when
+#: it allocates the set's ways.
+_NO_TAGS: Dict[int, int] = {}
+
 
 class SetAssociativeArray:
     """A set-associative array of cache blocks.
@@ -66,13 +71,16 @@ class SetAssociativeArray:
             self.policy = policy
         else:
             self.policy = make_policy(policy, associativity, seed=policy_seed)
-        self._sets: List[List[Optional[CacheBlock]]] = [
-            [None] * associativity for _ in range(self.num_sets)
-        ]
+        # Sets are allocated on their first fill: a set that never held a
+        # block is ``None`` here, and its tag map is the shared read-only
+        # ``_NO_TAGS``.  An 8 MB D-NUCA is 32,768 sets, most of which a
+        # short run never touches, so eager per-set lists and dicts were
+        # the bulk of a hierarchy build and of the garbage collector's work.
+        self._sets: List[Optional[List[Optional[CacheBlock]]]] = [None] * self.num_sets
         # Per-set tag -> way index, so lookups are a dict probe instead of a
         # scan over the ways.  ``_sets`` stays the source of truth; the index
         # is maintained by fill/invalidate.
-        self._tag_to_way: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        self._tag_to_way: List[Dict[int, int]] = [_NO_TAGS] * self.num_sets
         # Precomputed address math (block size is always a power of two; the
         # set count usually is, in which case masking beats modulo).
         self._block_shift = block_size.bit_length() - 1
@@ -250,40 +258,56 @@ class SetAssociativeArray:
             idx = line % self.num_sets
             tag = line // self.num_sets
         ways = self._sets[idx]
-        tags = self._tag_to_way[idx]
-
-        # Re-fill of an already resident block just refreshes it.
-        resident_way = tags.get(tag)
-        if resident_way is not None:
-            blk = ways[resident_way]
-            if blk is not None and blk.valid:
-                blk.last_touch = cycle
-                blk.dirty = blk.dirty or dirty
-                self.policy.on_access(idx, resident_way, cycle)
-                return blk, None
-
+        stamps = self._lru_stamps
         victim: Optional[CacheBlock] = None
-        target_way: Optional[int] = None
-        for way, blk in enumerate(ways):
-            if blk is None or not blk.valid:
-                target_way = way
-                break
-        if target_way is None:
-            target_way = self.policy.victim_way(idx, ways)
-            victim = ways[target_way]
-            if victim is not None:
-                tags.pop(victim.tag, None)
+        if ways is None:
+            # First fill of this set: allocate its ways and tag map.
+            ways = self._sets[idx] = [None] * self.associativity
+            tags = self._tag_to_way[idx] = {}
+            target_way = 0
+        else:
+            tags = self._tag_to_way[idx]
+            # Re-fill of an already resident block just refreshes it.
+            resident_way = tags.get(tag)
+            if resident_way is not None:
+                blk = ways[resident_way]
+                if blk is not None and blk.valid:
+                    blk.last_touch = cycle
+                    blk.dirty = blk.dirty or dirty
+                    if stamps is not None:
+                        policy = self.policy
+                        row = stamps.get(idx)
+                        if row is None:
+                            row = policy._stamp_list(idx)
+                        policy._clock += 1
+                        row[resident_way] = policy._clock
+                    else:
+                        self.policy.on_access(idx, resident_way, cycle)
+                    return blk, None
+            target_way = None
+            for way, blk in enumerate(ways):
+                if blk is None or not blk.valid:
+                    target_way = way
+                    break
+            if target_way is None:
+                target_way = self.policy.victim_way(idx, ways)
+                victim = ways[target_way]
+                if victim is not None:
+                    tags.pop(victim.tag, None)
 
-        new_block = CacheBlock(
-            tag=tag,
-            block_addr=self.block_addr_of(addr),
-            dirty=dirty,
-            last_touch=cycle,
-            fill_cycle=cycle,
-        )
+        new_block = CacheBlock(tag, line << self._block_shift, True, dirty, cycle, cycle)
         ways[target_way] = new_block
         tags[tag] = target_way
-        self.policy.on_fill(idx, target_way, cycle)
+        if stamps is not None:
+            # Inlined LRUPolicy.on_fill, as in lookup().
+            policy = self.policy
+            row = stamps.get(idx)
+            if row is None:
+                row = policy._stamp_list(idx)
+            policy._clock += 1
+            row[target_way] = policy._clock
+        else:
+            self.policy.on_fill(idx, target_way, cycle)
         observer = self.on_change
         if observer is not None:
             if victim is not None:
@@ -309,51 +333,59 @@ class SetAssociativeArray:
             observer(blk.block_addr, False)
         return blk
 
-    def set_is_full(self, addr: int) -> bool:
-        """Return True when the set that ``addr`` maps to has no free way."""
-        ways = self._sets[self.set_of(addr)]
-        return all(blk is not None and blk.valid for blk in ways)
-
-    def victim_for(self, addr: int) -> Optional[CacheBlock]:
-        """Return the block that would be evicted to make room for ``addr``.
-
-        Returns ``None`` when the set has a free way or already holds the
-        block.
-        """
-        if self.contains(addr) or not self.set_is_full(addr):
-            return None
-        idx = self.set_of(addr)
+    def needs_victim(self, addr: int) -> bool:
+        """True when filling ``addr`` would evict: its set is full and does
+        not already hold the block."""
+        line = addr >> self._block_shift
+        mask = self._set_mask
+        if mask is not None:
+            idx = line & mask
+            tag = line >> self._set_shift
+        else:
+            idx = line % self.num_sets
+            tag = line // self.num_sets
         ways = self._sets[idx]
-        return ways[self.policy.victim_way(idx, ways)]
+        if ways is None:
+            return False
+        way = self._tag_to_way[idx].get(tag)
+        if way is not None:
+            blk = ways[way]
+            if blk is not None and blk.valid:
+                return False
+        for blk in ways:
+            if blk is None or not blk.valid:
+                return False
+        return True
 
     # -- pickling ----------------------------------------------------------------
     def __getstate__(self):
         """Sparse pickle form: geometry + policy + only the occupied slots.
 
-        The dense ``_sets`` / ``_tag_to_way`` tables are mostly empty (an
-        8 MB L3 is 4096 sets), and unpickling thousands of empty lists and
-        dicts dominates the cost of cloning prewarmed hierarchies in the
-        run-plan snapshot store.  Storing only occupied entries and
-        rebuilding the empty geometry through ``__init__`` keeps the
-        restored array byte-for-byte equivalent (blocks are shared
-        references, so intra-pickle object identity is preserved).
+        Only allocated sets are walked, and only occupied entries stored;
+        ``__setstate__`` rebuilds the empty geometry through ``__init__``
+        and re-allocates exactly the sets that hold blocks, so the restored
+        array behaves identically (blocks are shared references, so
+        intra-pickle object identity is preserved).
         """
+        sets = {}
+        tags = {}
+        for idx, ways in enumerate(self._sets):
+            if ways is None:
+                continue
+            entries = [(way, blk) for way, blk in enumerate(ways) if blk is not None]
+            if entries:
+                sets[idx] = entries
+            tag_map = self._tag_to_way[idx]
+            if tag_map:
+                tags[idx] = dict(tag_map)
         return {
             "size_bytes": self.size_bytes,
             "associativity": self.associativity,
             "block_size": self.block_size,
             "policy": self.policy,
             "on_change": self.on_change,
-            "sets": {
-                idx: [(way, blk) for way, blk in enumerate(ways) if blk is not None]
-                for idx, ways in enumerate(self._sets)
-                if any(blk is not None for blk in ways)
-            },
-            "tags": {
-                idx: dict(tags)
-                for idx, tags in enumerate(self._tag_to_way)
-                if tags
-            },
+            "sets": sets,
+            "tags": tags,
         }
 
     def __setstate__(self, state):
@@ -364,30 +396,41 @@ class SetAssociativeArray:
             policy=state["policy"],
         )
         self.on_change = state.get("on_change")
+        all_sets = self._sets
+        all_tags = self._tag_to_way
+        stored_tags = state["tags"]
         for idx, entries in state["sets"].items():
-            ways = self._sets[idx]
+            ways = all_sets[idx] = [None] * self.associativity
             for way, blk in entries:
                 ways[way] = blk
-        for idx, tags in state["tags"].items():
-            self._tag_to_way[idx] = tags
+            all_tags[idx] = stored_tags.get(idx, {})
 
     # -- introspection -----------------------------------------------------------
     def occupancy(self) -> int:
         """Return the number of valid blocks currently resident."""
         return sum(
-            1 for ways in self._sets for blk in ways if blk is not None and blk.valid
+            1
+            for ways in self._sets
+            if ways is not None
+            for blk in ways
+            if blk is not None and blk.valid
         )
 
     def resident_blocks(self) -> Iterator[CacheBlock]:
         """Yield every valid resident block (order unspecified)."""
         for ways in self._sets:
+            if ways is None:
+                continue
             for blk in ways:
                 if blk is not None and blk.valid:
                     yield blk
 
     def ways_of_set(self, idx: int) -> List[Optional[CacheBlock]]:
         """Return the ways of set ``idx`` (shared references, for tests)."""
-        return list(self._sets[idx])
+        ways = self._sets[idx]
+        if ways is None:
+            return [None] * self.associativity
+        return list(ways)
 
     def __len__(self) -> int:
         return self.occupancy()

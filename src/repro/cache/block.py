@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -31,7 +31,6 @@ class CacheBlock:
     dirty: bool = False
     last_touch: int = 0
     fill_cycle: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def touch(self, cycle: int) -> None:
         """Record an access at ``cycle``."""

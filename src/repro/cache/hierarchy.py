@@ -331,6 +331,9 @@ class ConventionalHierarchy(MemorySystem):
                 reached = when + 1
         if self.busy():
             raise self.wedged_error(cycle)
+        # The window view points back at this hierarchy; dropping it leaves
+        # a finished system acyclic (span_window rebuilds it on demand).
+        self._span_view = None
         return reached
 
     def pending_work(self) -> str:

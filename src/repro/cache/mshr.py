@@ -101,8 +101,9 @@ class MSHRFile:
             raise ConfigurationError("MSHR file is full")
         entry = MSHREntry(block_addr=block_addr, allocate_cycle=cycle)
         self._entries[block_addr] = entry
-        self.stats.incr("primary_misses")
-        self.stats.incr("allocations")
+        counters = self.stats._counters
+        counters["primary_misses"] += 1.0
+        counters["allocations"] += 1.0
         return entry
 
     def merge(self, block_addr: int, cycle: int) -> MSHREntry:
@@ -142,7 +143,7 @@ class MSHRFile:
         entry = self._entries.pop(block_addr, None)
         if entry is None:
             raise ConfigurationError(f"no MSHR entry for block 0x{block_addr:x}")
-        self.stats.incr("releases")
+        self.stats._counters["releases"] += 1.0
         if entry.ready_cycle is not None and entry.ready_cycle == self._earliest_ready:
             self._recompute_earliest()
         return entry

@@ -82,6 +82,31 @@ class SearchWave:
     wave_id: int = field(default_factory=lambda: next(_wave_ids))
 
 
+def _tile_content_change(
+    contents: Dict[int, Coordinate], coord: Coordinate, block_addr: int, present: bool
+) -> None:
+    """Array membership observer keeping an L-NUCA search content map exact.
+
+    Bound per tile over the content map alone (not the :class:`LightNUCA`),
+    so the observer closes no reference cycle through the fabric and a
+    finished hierarchy is freed by reference counting.  A duplicate insert
+    under a different coordinate means two tiles hold the same block — the
+    content-exclusion violation the per-tile probe loop used to detect at
+    search time — so it raises the same way instead of silently tracking
+    one copy.
+    """
+    if present:
+        prior = contents.get(block_addr)
+        if prior is not None and prior != coord:
+            raise SimulationError(
+                f"block 0x{block_addr:x} filled into two tiles ({prior} and "
+                f"{coord}): content exclusion violated"
+            )
+        contents[block_addr] = coord
+    elif contents.get(block_addr) == coord:
+        del contents[block_addr]
+
+
 class _LNUCASpanView:
     """Analyzable steady-state window view of a :class:`LightNUCA`.
 
@@ -199,7 +224,7 @@ class LightNUCA(MemorySystem):
         self._tile_contents: Dict[int, Coordinate] = {}
         self._u_contents: Dict[int, Coordinate] = {}
         for coord, tile in self.tiles.items():
-            tile.array.on_change = partial(self._tile_content_change, coord)
+            tile.array.on_change = partial(_tile_content_change, self._tile_contents, coord)
 
         self.search_net = SearchNetwork(self.geometry)
         self.transport_net = TransportNetwork(self.geometry, config.routing_policy, self.rng)
@@ -290,26 +315,6 @@ class LightNUCA(MemorySystem):
             (source, self.root_d_buffers[source])
             for source in sorted(self.root_d_buffers)
         ]
-
-    def _tile_content_change(self, coord: Coordinate, block_addr: int, present: bool) -> None:
-        """Array membership observer keeping the search content map exact.
-
-        A duplicate insert under a different coordinate means two tiles
-        hold the same block — the content-exclusion violation the per-tile
-        probe loop used to detect at search time — so it raises the same
-        way instead of silently tracking one copy.
-        """
-        contents = self._tile_contents
-        if present:
-            prior = contents.get(block_addr)
-            if prior is not None and prior != coord:
-                raise SimulationError(
-                    f"block 0x{block_addr:x} filled into two tiles ({prior} and "
-                    f"{coord}): content exclusion violated"
-                )
-            contents[block_addr] = coord
-        elif contents.get(block_addr) == coord:
-            del contents[block_addr]
 
     # ------------------------------------------------------------------ interface
     def can_accept(self, cycle: int, access: AccessType) -> bool:
@@ -466,6 +471,9 @@ class LightNUCA(MemorySystem):
             guard = reached
         if self._fine_grained_busy() or self._corner_evictions or self._rtile_wb._queue:
             raise self.wedged_error(cycle)
+        # The window view points back at this hierarchy; dropping it leaves
+        # a finished system acyclic (span_window rebuilds it on demand).
+        self._span_view = None
         self.backside.finalize(guard)
         return guard
 
@@ -636,9 +644,10 @@ class LightNUCA(MemorySystem):
         for source, buffer in self._root_d_items:
             if delivered >= ports:
                 break
-            message = buffer.pop()
-            if message is None:
+            entries = buffer._entries
+            if not entries:
                 continue
+            message = entries.popleft()
             delivered += 1
             actual = cycle - message.created_cycle
             minimum = max(1, self.geometry.min_transport_hops(message.source))
@@ -720,32 +729,40 @@ class LightNUCA(MemorySystem):
             key=self._distance_of.__getitem__,
             reverse=True,
         )
+        corner_tiles = self.geometry.corner_tiles
+        counters = self.stats._counters
         for coord in active:
             if coord in searching:
                 # Replacement only proceeds during search-idle cycles.
                 continue
             tile = self.tiles[coord]
-            buffer = next((b for b in tile.u_in.values() if b), None)
-            if buffer is None:
+            entries = None
+            for buffer in tile.u_in.values():
+                if buffer._entries:
+                    entries = buffer._entries
+                    break
+            if entries is None:
                 self._replacement_active.discard(coord)
                 continue
-            message = buffer.peek()
-            needs_eviction = (
-                tile.array.set_is_full(message.block_addr)
-                and not tile.contains(message.block_addr)
-            )
-            if needs_eviction and coord not in self.geometry.corner_tiles:
+            message = entries[0]
+            if (
+                coord not in corner_tiles
+                and tile.array.needs_victim(message.block_addr)
+            ):
                 options = self.replacement_net.open_outputs(coord, cycle)
                 if not options:
-                    self.stats.incr("replacement_blocked_cycles")
+                    counters["replacement_blocked_cycles"] += 1.0
                     continue
-            buffer.pop()
+            entries.popleft()
             self._u_contents.pop(message.block_addr, None)
             victim = tile.fill(message.block_addr, cycle, message.dirty)
-            self.stats.incr("tile_fills")
+            counters["tile_fills"] += 1.0
             if victim is not None:
                 self._push_victim(coord, victim.block_addr, victim.dirty, cycle)
-            if not any(b for b in tile.u_in.values()):
+            for buffer in tile.u_in.values():
+                if buffer._entries:
+                    break
+            else:
                 self._replacement_active.discard(coord)
 
     def _push_victim(self, coord: Coordinate, block_addr: int, dirty: bool, cycle: int) -> None:
@@ -1134,14 +1151,9 @@ class LightNUCA(MemorySystem):
             if not outputs:
                 break
             node = outputs[0]
-            array = self.tiles[node].array
-            displaced = None
-            if array.set_is_full(victim.block_addr) and not array.contains(victim.block_addr):
-                candidate = array.victim_for(victim.block_addr)
-                if candidate is not None:
-                    displaced = array.invalidate(candidate.block_addr)
-                    location.pop(candidate.block_addr, None)
-            array.fill(victim.block_addr, dirty=victim.dirty)
+            _, displaced = self.tiles[node].array.fill(victim.block_addr, 0, victim.dirty)
+            if displaced is not None:
+                location.pop(displaced.block_addr, None)
             location[victim.block_addr] = node
             victim = displaced
 

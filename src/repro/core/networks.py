@@ -42,8 +42,9 @@ class SearchNetwork:
 
     def record_broadcast(self, fanout: int) -> None:
         """Account the link activations of one search fan-out."""
-        self.stats.incr("link_traversals", fanout)
-        self.stats.incr("broadcasts")
+        counters = self.stats._counters  # hot: one call per wave step
+        counters["link_traversals"] += fanout
+        counters["broadcasts"] += 1.0
 
     def record_global_miss(self) -> None:
         """Account one activation of the segmented miss line."""
@@ -76,22 +77,35 @@ class _BufferedNetwork:
         # sender consult the destination buffer for the On/Off signal.
         self.link_buffers: Dict[Tuple[Coordinate, Coordinate], FlowControlBuffer] = {}
         self._link_last_cycle: Dict[Tuple[Coordinate, Coordinate], int] = {}
+        #: coord -> its ``(destination, link key, buffer)`` rows in
+        #: ``outputs`` order, built once by ``wire()`` for
+        #: :meth:`open_outputs`.
+        self._output_rows: Dict[Coordinate, List[tuple]] = {}
 
     def register_buffer(
         self, source: Coordinate, destination: Coordinate, buffer: FlowControlBuffer
     ) -> None:
         self.link_buffers[(source, destination)] = buffer
 
+    def _build_output_rows(self) -> None:
+        self._output_rows = {
+            source: [
+                (destination, (source, destination), self.link_buffers[(source, destination)])
+                for destination in destinations
+            ]
+            for source, destinations in self.outputs.items()
+        }
+
     def open_outputs(self, coord: Coordinate, cycle: int) -> List[Coordinate]:
         """Destinations reachable from ``coord`` whose buffer is On and whose
         link has not been used this cycle (links carry one message per cycle)."""
         result = []
-        for destination in self.outputs.get(coord, []):
-            key = (coord, destination)
-            buffer = self.link_buffers.get(key)
-            if buffer is None or not buffer.is_on:
+        last_cycle = self._link_last_cycle
+        for destination, key, buffer in self._output_rows.get(coord, ()):
+            # Inlined FlowControlBuffer.is_on.
+            if len(buffer._entries) >= buffer.capacity:
                 continue
-            if self._link_last_cycle.get(key) == cycle:
+            if last_cycle.get(key) == cycle:
                 continue
             result.append(destination)
         return result
@@ -113,8 +127,9 @@ class _BufferedNetwork:
         buffer.push(message)
         message.hops += 1
         self._link_last_cycle[key] = cycle
-        self.stats.incr("link_traversals")
-        self.stats.incr("buffer_writes")
+        counters = self.stats._counters
+        counters["link_traversals"] += 1.0
+        counters["buffer_writes"] += 1.0
 
     def total_buffered(self) -> int:
         """Number of messages currently sitting in any buffer of this network."""
@@ -148,6 +163,7 @@ class TransportNetwork(_BufferedNetwork):
                 else:
                     buffer = tiles[destination].add_transport_input(source)
                 self.register_buffer(source, destination, buffer)
+        self._build_output_rows()
 
 
 class ReplacementNetwork(_BufferedNetwork):
@@ -171,6 +187,7 @@ class ReplacementNetwork(_BufferedNetwork):
             for destination in destinations:
                 buffer = tiles[destination].add_replacement_input(source)
                 self.register_buffer(source, destination, buffer)
+        self._build_output_rows()
 
     def find_in_flight(self, block_addr: int) -> Optional[Tuple[Coordinate, Coordinate, Message]]:
         """Locate a block anywhere in the replacement buffers (for invariants)."""

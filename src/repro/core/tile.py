@@ -126,15 +126,11 @@ class Tile:
         Returns the victim this fill displaces (the "domino" continues with
         it), or ``None`` when a free way absorbed the block.
         """
-        self.stats.incr("fills")
-        victim = None
-        if self.array.set_is_full(block_addr) and not self.array.contains(block_addr):
-            victim_block = self.array.victim_for(block_addr)
-            if victim_block is not None:
-                victim = self.array.invalidate(victim_block.block_addr)
-        self.array.fill(block_addr, cycle=cycle, dirty=dirty)
+        counters = self.stats._counters
+        counters["fills"] += 1.0
+        _, victim = self.array.fill(block_addr, cycle, dirty)
         if victim is not None:
-            self.stats.incr("evictions")
+            counters["evictions"] += 1.0
         return victim
 
     def occupancy(self) -> int:

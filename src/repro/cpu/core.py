@@ -1679,7 +1679,9 @@ class OoOCore:
         complete = self._complete_cycle
         kinds = self._kinds
         popleft = rob.popleft
-        while rob and committed < self._commit_width:
+        commit_width = self._commit_width
+        lsq = self._lsq_count
+        while rob and committed < commit_width:
             idx = rob[0]
             done = complete[idx]
             if done is None or done > cycle:
@@ -1695,12 +1697,15 @@ class OoOCore:
                     self._mem_touched = True
                 else:
                     self._pending_stores.append(idx)
-                self._lsq_count -= 1
+                lsq -= 1
                 self.stats._counters["stores_committed"] += 1.0
             popleft()
-            self.committed += 1
             committed += 1
         if committed:
+            # Stage state lives in locals for the loop and is written back
+            # once per call, as in run_batch.
+            self.committed += committed
+            self._lsq_count = lsq
             self._progress = True
 
     # -- issue -----------------------------------------------------------------
@@ -1810,9 +1815,13 @@ class OoOCore:
             self.stats._counters["fetch_stall_cycles"] += 1.0
             return
         trace_len = self._trace_len
-        if self._next_fetch >= trace_len:
+        next_fetch = self._next_fetch
+        if next_fetch >= trace_len:
             return  # drained tail: nothing to fetch, no stall to account
         fetched = 0
+        fetch_width = self._fetch_width
+        lsq = self._lsq_count
+        lsq_size = self._lsq_size
         rob = self._rob
         rob_size = self._rob_size
         windows = self._windows
@@ -1828,24 +1837,24 @@ class OoOCore:
         unresolved_of = self._unresolved
         ready_heaps = self._ready
         while (
-            fetched < self._fetch_width
-            and self._next_fetch < trace_len
+            fetched < fetch_width
+            and next_fetch < trace_len
             and len(rob) < rob_size
         ):
-            idx = self._next_fetch
+            idx = next_fetch
             window = windows[idx]
             if window_count[window] >= window_limit[window]:
                 self.stats.incr("window_full_stalls")
                 break
             is_memory = is_mem[idx]
-            if is_memory and self._lsq_count >= self._lsq_size:
+            if is_memory and lsq >= lsq_size:
                 self.stats.incr("lsq_full_stalls")
                 break
 
             rob.append(idx)
             window_count[window] += 1
             if is_memory:
-                self._lsq_count += 1
+                lsq += 1
             # Dependence dispatch, inlined (one call per fetched instruction
             # was measurable).  Producer indices are precomputed by the
             # decode (-1 = no in-range producer).
@@ -1881,14 +1890,17 @@ class OoOCore:
             unresolved_of[idx] = unresolved
             if unresolved == 0:
                 heappush(ready_heaps[window], (ready, idx))
-            self._next_fetch += 1
+            next_fetch += 1
             fetched += 1
             if classes[idx] == ISSUE_MISPREDICT:
                 # Stop fetching down the wrong path until the branch resolves.
                 self._unresolved_branch = idx
                 break
         if fetched:
+            # Stage state lives in locals for the loop and is written back
+            # once per call, as in run_batch.
+            self._next_fetch = next_fetch
+            self._lsq_count = lsq
             self._progress = True
-        if self._next_fetch < trace_len and len(rob) >= rob_size:
+        if next_fetch < trace_len and len(rob) >= rob_size:
             self.stats.incr("rob_full_stalls")
-

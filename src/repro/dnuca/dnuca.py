@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.array import SetAssociativeArray
 from repro.cache.block import CacheBlock
-from repro.common.addr import block_address
 from repro.common.errors import ConfigurationError
 from repro.noc.mesh import Mesh2D
 from repro.sim.stats import Stats
@@ -106,6 +105,14 @@ class DNUCACache:
                     cfg.bank_size_bytes, cfg.bank_associativity, cfg.block_size
                 )
                 self._bank_port_free[coord] = 0
+        #: Per-bankset ``(coord, bank)`` rows, closest row first: the
+        #: per-access bankset walk indexes these instead of rebuilding
+        #: coordinates and probing ``banks`` row by row.
+        self._bankset_rows: List[List[Tuple[Coordinate, SetAssociativeArray]]] = [
+            [(coord, self.banks[coord]) for coord in self.banks_of_set(column)]
+            for column in range(cfg.sparse_sets)
+        ]
+        self._block_mask = ~(cfg.block_size - 1)
         self.stats = Stats(name)
 
     # ------------------------------------------------------------------ mapping
@@ -122,14 +129,9 @@ class DNUCACache:
         return [self.bank_coord(column, row) for row in range(self.config.rows)]
 
     def block_addr(self, addr: int) -> int:
-        return block_address(addr, self.config.block_size)
+        return addr & self._block_mask
 
     # ------------------------------------------------------------------ timing helpers
-    def _reserve_bank(self, coord: Coordinate, cycle: int) -> int:
-        start = max(cycle, self._bank_port_free[coord])
-        self._bank_port_free[coord] = start + self.config.bank_initiation_cycles
-        return start
-
     def min_hit_latency(self, row: int, column: Optional[int] = None) -> int:
         """Contention-free latency of a hit in ``row`` of ``column``."""
         column = self.entry[0] if column is None else column
@@ -148,33 +150,39 @@ class DNUCACache:
         known once the farthest bank has responded.
         """
         cfg = self.config
-        block = self.block_addr(addr)
+        block = addr & self._block_mask
         column = self.bankset_of(addr)
-        self.stats.incr("write_accesses" if is_write else "read_accesses")
+        counters = self.stats._counters
+        counters["write_accesses" if is_write else "read_accesses"] += 1.0
 
+        transfer = self.mesh.transfer
+        entry = self.entry
+        port_free = self._bank_port_free
+        initiation = cfg.bank_initiation_cycles
+        completion = cfg.bank_completion_cycles
         hit_row: Optional[int] = None
         hit_ready = 0
         miss_known = cycle
-        for row in range(cfg.rows):
-            coord = self.bank_coord(column, row)
-            arrival = self.mesh.transfer(self.entry, coord, cycle, flits=1)
-            start = self._reserve_bank(coord, arrival)
-            lookup_done = start + cfg.bank_completion_cycles
-            self.stats.incr("bank_lookups")
-            resident = self.banks[coord].lookup(block, cycle=lookup_done, update_lru=True)
-            miss_known = max(miss_known, lookup_done)
+        for row, (coord, bank) in enumerate(self._bankset_rows[column]):
+            arrival = transfer(entry, coord, cycle, 1)
+            # The bank's port is busy for the initiation interval.
+            free = port_free[coord]
+            start = arrival if arrival >= free else free
+            port_free[coord] = start + initiation
+            lookup_done = start + completion
+            resident = bank.lookup(block, lookup_done, True)
+            if lookup_done > miss_known:
+                miss_known = lookup_done
             if resident is not None and hit_row is None:
                 hit_row = row
                 if is_write:
                     resident.dirty = True
-                reply = self.mesh.transfer(
-                    coord, self.entry, lookup_done, flits=cfg.data_flits
-                )
-                hit_ready = reply
+                hit_ready = transfer(coord, entry, lookup_done, cfg.data_flits)
+        counters["bank_lookups"] += float(cfg.rows)
 
         if hit_row is not None:
-            self.stats.incr("hits")
-            self.stats.incr(f"hits_row{hit_row}")
+            counters["hits"] += 1.0
+            counters[f"hits_row{hit_row}"] += 1.0
             evicted = self._promote(block, column, hit_row, hit_ready)
             return DNUCAAccessResult(
                 hit=True,
@@ -184,7 +192,7 @@ class DNUCACache:
                 evicted_dirty_blocks=evicted,
             )
 
-        self.stats.incr("misses")
+        counters["misses"] += 1.0
         return DNUCAAccessResult(hit=False, ready_cycle=miss_known)
 
     def fill(self, addr: int, cycle: int, dirty: bool = False) -> List[int]:
@@ -236,30 +244,29 @@ class DNUCACache:
         the migration state a long warm-up run would have produced.
         """
         block = self.block_addr(addr)
-        coord = self.contains(block)
-        if coord is None:
+        rows = self._bankset_rows[self.bankset_of(block)]
+        for row, (_, bank) in enumerate(rows):
+            if bank.contains(block):
+                break
+        else:
             return None
-        column, row_plus_one = coord
-        row = row_plus_one - 1
         if not self.config.promotion or row == 0:
-            self.banks[coord].lookup(block, update_lru=True)
+            bank.lookup(block, update_lru=True)
             return row
-        closer = self.bank_coord(column, row - 1)
-        moving = self.banks[coord].invalidate(block)
+        closer = rows[row - 1][1]
+        moving = bank.invalidate(block)
         dirty = moving.dirty if moving is not None else False
-        _, displaced = self.banks[closer].fill(block, dirty=dirty)
+        _, displaced = closer.fill(block, dirty=dirty)
         if displaced is not None:
-            self.banks[coord].fill(displaced.block_addr, dirty=displaced.dirty)
+            bank.fill(displaced.block_addr, dirty=displaced.dirty)
         return row - 1
 
     # ------------------------------------------------------------------ queries
     def contains(self, addr: int) -> Optional[Coordinate]:
         """Return the bank currently holding ``addr`` (None on a miss)."""
         block = self.block_addr(addr)
-        column = self.bankset_of(addr)
-        for row in range(self.config.rows):
-            coord = self.bank_coord(column, row)
-            if self.banks[coord].contains(block):
+        for coord, bank in self._bankset_rows[self.bankset_of(addr)]:
+            if bank.contains(block):
                 return coord
         return None
 

@@ -218,6 +218,9 @@ class DNUCASystem(MemorySystem):
         reached = self._pump(cycle + FINALIZE_GUARD_CYCLES)
         if self.busy():
             raise self.wedged_error(cycle)
+        # The window view points back at this system; dropping it leaves a
+        # finished system acyclic (span_window rebuilds it on demand).
+        self._span_view = None
         return reached if reached > cycle else cycle
 
     def pending_work(self) -> str:

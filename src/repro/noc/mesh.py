@@ -20,6 +20,9 @@ from repro.common.errors import ConfigurationError
 from repro.noc.routing import Coordinate, dimension_order_route
 from repro.sim.stats import Stats
 
+#: A directed link, as its (from, to) router coordinates.
+Link = Tuple[Coordinate, Coordinate]
+
 
 class Mesh2D:
     """A ``rows x cols`` mesh with per-link occupancy tracking."""
@@ -41,7 +44,10 @@ class Mesh2D:
         self.router_latency = router_latency
         self.link_width_bytes = link_width_bytes
         self.name = name
-        self._link_free: Dict[Tuple[Coordinate, Coordinate], int] = defaultdict(int)
+        self._link_free: Dict[Link, int] = defaultdict(int)
+        #: (src, dst) -> the XY path as a tuple of directed link keys,
+        #: built (and its end points validated) on the pair's first use.
+        self._paths: Dict[Tuple[Coordinate, Coordinate], Tuple[Link, ...]] = {}
         self.stats = Stats(name)
 
     def contains(self, node: Coordinate) -> bool:
@@ -70,30 +76,48 @@ class Mesh2D:
         cycles per hop.  Contention shows up as waiting for a link's
         ``next_free`` cycle.
         """
-        self._validate(src)
-        self._validate(dst)
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._route(src, dst)
         if flits < 1:
             raise ConfigurationError("a message needs at least one flit")
-        if src == dst:
+        if not path:
             return cycle
+        link_free = self._link_free
+        per_hop = 1 + self.router_latency
         time = cycle
-        current = src
-        for nxt in dimension_order_route(src, dst):
-            key = (current, nxt)
-            start = max(time, self._link_free[key])
-            if start > time:
-                self.stats.incr("link_stall_cycles", start - time)
-            self._link_free[key] = start + flits
-            time = start + 1 + self.router_latency
-            self.stats.incr("link_traversals", flits)
-            self.stats.incr("router_traversals", flits)
-            current = nxt
-        arrival = time + max(0, flits - 1)
-        self.stats.incr("messages")
-        self.stats.incr("total_message_latency", arrival - cycle)
+        stall = 0
+        for key in path:
+            free = link_free[key]
+            if free > time:
+                stall += free - time
+                time = free
+            link_free[key] = time + flits
+            time += per_hop
+        arrival = time + flits - 1
+        counters = self.stats._counters
+        link_flits = len(path) * flits
+        counters["link_traversals"] += link_flits
+        counters["router_traversals"] += link_flits
+        if stall:
+            counters["link_stall_cycles"] += stall
+        counters["messages"] += 1.0
+        counters["total_message_latency"] += arrival - cycle
         return arrival
 
-    def link_utilisation(self) -> Dict[Tuple[Coordinate, Coordinate], int]:
+    def _route(self, src: Coordinate, dst: Coordinate) -> Tuple[Link, ...]:
+        """Validate a (src, dst) pair and cache its XY path as link keys."""
+        self._validate(src)
+        self._validate(dst)
+        keys = []
+        current = src
+        for nxt in dimension_order_route(src, dst):
+            keys.append((current, nxt))
+            current = nxt
+        path = self._paths[(src, dst)] = tuple(keys)
+        return path
+
+    def link_utilisation(self) -> Dict[Link, int]:
         """Return the next-free cycle of every link that has carried traffic."""
         return dict(self._link_free)
 

@@ -98,29 +98,35 @@ class TestInvalidateAndVictims:
         array = make_array()
         assert array.invalidate(0x500) is None
 
-    def test_set_is_full(self):
+    def test_needs_victim(self):
         array = make_array(size=64, assoc=2, block=32)
-        assert not array.set_is_full(0x0)
+        assert not array.needs_victim(0x0)
         array.fill(0x000)
         array.fill(0x100)
-        assert array.set_is_full(0x200)
+        assert array.needs_victim(0x200)
 
-    def test_victim_for_when_not_full(self):
+    def test_fill_into_free_way_has_no_victim(self):
         array = make_array(size=64, assoc=2, block=32)
         array.fill(0x000)
-        assert array.victim_for(0x100) is None
+        assert not array.needs_victim(0x100)
+        _, victim = array.fill(0x100)
+        assert victim is None
 
-    def test_victim_for_resident_block(self):
-        array = make_array(size=64, assoc=2, block=32)
-        array.fill(0x000)
-        array.fill(0x100)
-        assert array.victim_for(0x000) is None
-
-    def test_victim_for_full_set(self):
+    def test_resident_block_needs_no_victim(self):
         array = make_array(size=64, assoc=2, block=32)
         array.fill(0x000)
         array.fill(0x100)
-        assert array.victim_for(0x200).block_addr == 0x000
+        assert not array.needs_victim(0x000)
+        _, victim = array.fill(0x000)
+        assert victim is None
+
+    def test_fill_into_full_set_returns_policy_victim(self):
+        array = make_array(size=64, assoc=2, block=32)
+        array.fill(0x000)
+        array.fill(0x100)
+        _, victim = array.fill(0x200)
+        assert victim.block_addr == 0x000
+        assert not array.contains(0x000)
 
     def test_occupancy_and_len(self):
         array = make_array()

@@ -17,6 +17,9 @@ import random
 
 import pytest
 
+from repro.cache.hierarchy import ConventionalHierarchy
+from repro.core.lnuca import LightNUCA
+from repro.dnuca.system import DNUCASystem
 from repro.scenarios import ScenarioSpec, build_trace
 from repro.sim.configs import (
     build_conventional_hierarchy,
@@ -117,6 +120,90 @@ def _fuzz_spec(family: str, seed: int) -> ScenarioSpec:
     )
 
 
+def _timed_caches(system):
+    """Every :class:`~repro.cache.cache.TimedCache` level of a hierarchy."""
+    if isinstance(system, LightNUCA):
+        return [system.rtile, *_timed_caches(system.backside)]
+    if isinstance(system, ConventionalHierarchy):
+        return list(system.levels)
+    if isinstance(system, DNUCASystem):
+        return [] if system.l1 is None else [system.l1]
+    raise TypeError(type(system).__name__)
+
+
+def _track_mshr_peaks(system) -> dict:
+    """Record each MSHR file's peak occupancy over the run."""
+    peaks: dict = {}
+    for cache in _timed_caches(system):
+        mshr = cache.mshr
+        allocate = mshr.allocate
+
+        def tracked(block_addr, cycle, mshr=mshr, allocate=allocate):
+            entry = allocate(block_addr, cycle)
+            peaks[mshr.name] = max(peaks.get(mshr.name, 0), mshr.occupancy)
+            return entry
+
+        mshr.allocate = tracked
+    return peaks
+
+
+def _assert_model_invariants(system, mshr_peaks: dict, context: str) -> None:
+    """Conservation and exclusion invariants of the model itself.
+
+    Dense and event runs share the model, so dense==event cannot catch a
+    bug in it; these checks can.
+    """
+    for cache in _timed_caches(system):
+        stats = cache.stats
+        for kind in ("read", "write"):
+            assert stats[f"{kind}_accesses"] == (
+                stats[f"{kind}_hits"] + stats[f"{kind}_misses"]
+            ), f"{context}: {cache.name} {kind} accesses != hits + misses"
+        mshr = cache.mshr
+        assert mshr_peaks.get(mshr.name, 0) <= mshr.num_entries, f"{context}: {mshr.name}"
+        assert mshr.occupancy <= mshr.num_entries, f"{context}: {mshr.name}"
+        buffer = cache.write_buffer
+        assert buffer.stats.get("peak_occupancy") <= buffer.num_entries, (
+            f"{context}: {buffer.name} overflowed"
+        )
+        assert buffer.occupancy <= buffer.num_entries, f"{context}: {buffer.name}"
+    if not isinstance(system, LightNUCA):
+        return
+    rebuilt = {
+        block.block_addr: coord
+        for coord, tile in system.tiles.items()
+        for block in tile.array.resident_blocks()
+    }
+    assert system._tile_contents == rebuilt, f"{context}: tile content map out of date"
+    in_transit = {
+        message.block_addr: coord
+        for coord, tile in system.tiles.items()
+        for buffer in tile.u_in.values()
+        for message in buffer
+    }
+    assert system._u_contents == in_transit, f"{context}: U-buffer content map out of date"
+    blocks = set(rebuilt)
+    blocks.update(block.block_addr for block in system.rtile.array.resident_blocks())
+    for block_addr in blocks:
+        holders = system.find_block(block_addr)
+        assert len(holders) <= 1, f"{context}: 0x{block_addr:x} held by {holders}"
+
+
+def _run_checked(system: str, spec, trace, mode: str, prewarm: bool = True):
+    """``run_workload`` on a fresh ``system``, then its model invariants."""
+    built = []
+
+    def builder():
+        hierarchy = SYSTEMS[system]()
+        built.append((hierarchy, _track_mshr_peaks(hierarchy)))
+        return hierarchy
+
+    result = run_workload(builder, spec, _N, trace=trace, prewarm=prewarm, mode=mode)
+    hierarchy, peaks = built[0]
+    _assert_model_invariants(hierarchy, peaks, f"{system}/{spec.name} ({mode})")
+    return result
+
+
 def _assert_identical(dense, event, context: str) -> None:
     assert dense.cycles == event.cycles, f"{context}: cycle count diverged"
     assert dense.ipc == event.ipc, f"{context}: IPC diverged"
@@ -131,8 +218,8 @@ class TestDenseEventFuzz:
     def test_warm_fuzzed_scenarios_bit_identical(self, system, family, seed):
         spec = _fuzz_spec(family, seed)
         trace = build_trace(spec, _N)
-        dense = run_workload(SYSTEMS[system], spec, _N, trace=trace, mode="dense")
-        event = run_workload(SYSTEMS[system], spec, _N, trace=trace, mode="event")
+        dense = _run_checked(system, spec, trace, "dense")
+        event = _run_checked(system, spec, trace, "event")
         _assert_identical(dense, event, f"{system}/{family}#{seed} (warm)")
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
@@ -145,12 +232,8 @@ class TestDenseEventFuzz:
         # with analytic fast-forwards.
         spec = _fuzz_spec(family, 47)
         trace = build_trace(spec, _N)
-        dense = run_workload(
-            SYSTEMS[system], spec, _N, trace=trace, prewarm=False, mode="dense"
-        )
-        event = run_workload(
-            SYSTEMS[system], spec, _N, trace=trace, prewarm=False, mode="event"
-        )
+        dense = _run_checked(system, spec, trace, "dense", prewarm=False)
+        event = _run_checked(system, spec, trace, "event", prewarm=False)
         _assert_identical(dense, event, f"{system}/{family} (cold)")
 
     #: Targeted draws for the hierarchy span engine's extreme regimes,
@@ -184,12 +267,8 @@ class TestDenseEventFuzz:
             seed=71,
         )
         trace = build_trace(spec, _N)
-        dense = run_workload(
-            SYSTEMS[system], spec, _N, trace=trace, prewarm=prewarm, mode="dense"
-        )
-        event = run_workload(
-            SYSTEMS[system], spec, _N, trace=trace, prewarm=prewarm, mode="event"
-        )
+        dense = _run_checked(system, spec, trace, "dense", prewarm=prewarm)
+        event = _run_checked(system, spec, trace, "event", prewarm=prewarm)
         _assert_identical(dense, event, f"{system}/{regime}")
 
 
