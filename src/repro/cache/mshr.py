@@ -61,15 +61,6 @@ class MSHRFile:
     def is_full(self) -> bool:
         return len(self._entries) >= self.num_entries
 
-    def is_idle(self) -> bool:
-        """True when the file tracks no outstanding miss at all.
-
-        The hierarchy span engine's entry gates use this: with an idle MSHR
-        file every front-side hit is a pure function of the entry cycle (no
-        in-flight fill can complete, merge, or release inside the window).
-        """
-        return not self._entries
-
     def has_entry(self, block_addr: int) -> bool:
         return block_addr in self._entries
 

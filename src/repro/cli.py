@@ -315,15 +315,6 @@ def _cache_verify(cache, keep: bool) -> None:
         f"{blobs['corrupt']} corrupt ({verb}), "
         f"{blobs['stale_tmp']} stale tmp files"
     )
-    from repro.sim.schedstore import ScheduleStore
-
-    schedules = ScheduleStore(os.path.join(cache.directory, "schedules"))
-    sched = schedules.verify(delete=not keep)
-    print(
-        f"schedule store {schedules.directory}: {sched['checked']} blobs checked, "
-        f"{sched['corrupt']} corrupt ({verb}), "
-        f"{sched['stale_tmp']} stale tmp files"
-    )
 
 
 def _select_scenarios(names: Optional[Sequence[str]], tag: Optional[str]) -> List:

@@ -107,77 +107,6 @@ def _tile_content_change(
         del contents[block_addr]
 
 
-class _LNUCASpanView:
-    """Analyzable steady-state window view of a :class:`LightNUCA`.
-
-    Handed out by :meth:`LightNUCA.span_window` when the fabric is quiet;
-    see :meth:`repro.sim.memsys.MemorySystem.span_window` for the contract.
-    Both loads and stores require r-tile residency (``store_needs_residency``
-    and ``store_capacity is None``): a resident store just dirties the
-    r-tile copy — it reaches the backside only when it dominoes off an
-    upper-corner tile, far outside any analyzable window.
-    """
-
-    __slots__ = ("lnuca", "rtile", "cfg_tag", "load_latency", "ports",
-                 "store_capacity", "store_needs_residency", "front_name")
-
-    def __init__(self, lnuca: "LightNUCA") -> None:
-        rtile = lnuca.rtile
-        self.lnuca = lnuca
-        self.rtile = rtile
-        self.load_latency = lnuca._rtile_completion
-        self.ports = rtile.config.ports
-        self.store_capacity = None
-        self.store_needs_residency = True
-        self.front_name = rtile.name
-        self.cfg_tag = (
-            "lnuca", lnuca.name, rtile.name, rtile.config.size_bytes,
-            rtile.config.associativity, rtile.config.block_size,
-            self.load_latency, self.ports,
-        )
-
-    def entry_sig(self, cycle: int) -> tuple:
-        # A quiet fabric with free ports and an empty write buffer carries
-        # no timing state a window schedule could depend on.
-        return ()
-
-    def block_addr(self, addr: int) -> int:
-        return self.rtile.block_addr(addr)
-
-    def resident(self, addr: int) -> bool:
-        return self.rtile.array.contains(addr)
-
-    def resident_all(self, addrs) -> bool:
-        return self.rtile.array.contains_all(addrs)
-
-    def mshr_clear(self, addrs) -> bool:
-        # span_window already requires the r-tile MSHR file to be idle (the
-        # fabric resolves misses through search waves, which close windows
-        # wholesale), so per-address screening has nothing left to exclude.
-        return True
-
-    def apply_span_events(self, base: int, events) -> None:
-        """Replay validated ``(rel, is_store, addr)`` hits through the r-tile.
-
-        No per-event pump: hit-only windows enqueue no corner evictions and
-        no r-tile write-buffer entries, so the dense path would find both
-        drain queues empty at every one of these cycles.
-        """
-        rtile = self.rtile
-        reserve = rtile.reserve_port
-        lookup = rtile.lookup
-        counters = self.lnuca.stats._counters
-        for rel, is_store, addr in events:
-            start = reserve(base + rel)
-            if is_store:
-                block = lookup(addr, start, True)
-                block.dirty = True
-                counters["writes"] += 1.0
-            else:
-                lookup(addr, start, False)
-                counters["reads"] += 1.0
-
-
 class LightNUCA(MemorySystem):
     """An L-NUCA cache in front of an arbitrary backside memory system.
 
@@ -248,8 +177,6 @@ class LightNUCA(MemorySystem):
         self._corner_last_pop = -1
         self._transport_active: set = set()
         self._replacement_active: set = set()
-        #: Lazily built window view handed out by :meth:`span_window`.
-        self._span_view: Optional[_LNUCASpanView] = None
 
         # Tiles ordered by distance for the two buffered-network sweeps.
         self._tiles_by_distance = sorted(
@@ -413,45 +340,6 @@ class LightNUCA(MemorySystem):
             or self._root_buffers_busy()
         )
 
-    def span_window(self, cycle: int):
-        """A steady-state window view, or ``None`` (see the base contract).
-
-        An L-NUCA window is analyzable only with the whole fabric quiet: no
-        search waves, backside fills, evictions in flight, active network
-        sweeps, occupied root buffers, pending corner pops or buffered
-        r-tile writes (deferred drains are replayed up to ``cycle`` first,
-        exactly as :meth:`can_accept` does), an idle r-tile MSHR file and
-        all r-tile ports free.  Under those gates a resident load completes
-        at ``start + completion`` and a resident store at ``start + 1``
-        (dirtying the r-tile copy, no write-buffer traffic), so both loads
-        *and* stores carry residency probes.  Hit-only windows keep the
-        fabric quiet by construction, and the backside — at most deferred
-        drain work of its own — stays unobserved throughout.
-        """
-        if self._corner_evictions or self._rtile_wb._queue:
-            self._pump_drains(cycle)
-        if (
-            self._waves
-            or self._backside_fills
-            or self._rtile_evictions
-            or self._corner_evictions
-            or self._transport_active
-            or self._replacement_active
-            or self._rtile_wb._queue
-            or self._root_buffers_busy()
-        ):
-            return None
-        rtile = self.rtile
-        if rtile._initiation_cycles != 1 or not rtile.mshr.is_idle():
-            return None
-        for free in rtile._port_free_cycle:
-            if free > cycle:
-                return None
-        view = self._span_view
-        if view is None:
-            view = self._span_view = _LNUCASpanView(self)
-        return view
-
     def finalize(self, cycle: int) -> int:
         """Drain all in-flight state, then let the backside finish draining.
 
@@ -471,9 +359,6 @@ class LightNUCA(MemorySystem):
             guard = reached
         if self._fine_grained_busy() or self._corner_evictions or self._rtile_wb._queue:
             raise self.wedged_error(cycle)
-        # The window view points back at this hierarchy; dropping it leaves
-        # a finished system acyclic (span_window rebuilds it on demand).
-        self._span_view = None
         self.backside.finalize(guard)
         return guard
 

@@ -22,81 +22,6 @@ from repro.dnuca.dnuca import DNUCACache, DNUCAConfig
 from repro.sim.memsys import FINALIZE_GUARD_CYCLES, MemorySystem
 
 
-class _DNUCASpanView:
-    """Analyzable steady-state window view of an L1-fronted :class:`DNUCASystem`.
-
-    Handed out by :meth:`DNUCASystem.span_window`; see
-    :meth:`repro.sim.memsys.MemorySystem.span_window` for the contract.
-    Inside a validated window every load is an L1 hit and every store posts
-    towards the D-NUCA through the L1 write buffer at ``start + 1`` — both
-    the hit and the miss branch of the store path coalesce-or-push, so
-    stores need no residency probe, only write-buffer capacity.
-    """
-
-    __slots__ = ("system", "l1", "cfg_tag", "load_latency", "ports",
-                 "store_capacity", "store_needs_residency", "front_name")
-
-    def __init__(self, system: "DNUCASystem") -> None:
-        l1 = system.l1
-        self.system = system
-        self.l1 = l1
-        self.load_latency = l1.completion_cycles
-        self.ports = l1.config.ports
-        self.store_capacity = l1.write_buffer.num_entries
-        self.store_needs_residency = False
-        self.front_name = l1.name
-        self.cfg_tag = (
-            "dnuca", system.name, l1.name, l1.config.size_bytes,
-            l1.config.associativity, l1.config.block_size,
-            self.load_latency, self.ports, self.store_capacity,
-        )
-
-    def entry_sig(self, cycle: int) -> tuple:
-        return self.l1.write_buffer.entry_signature(cycle)
-
-    def block_addr(self, addr: int) -> int:
-        return self.l1.block_addr(addr)
-
-    def resident(self, addr: int) -> bool:
-        return self.l1.array.contains(addr)
-
-    def resident_all(self, addrs) -> bool:
-        return self.l1.array.contains_all(addrs)
-
-    def mshr_clear(self, addrs) -> bool:
-        # The L1 fronting a D-NUCA has no MSHR file: misses resolve at
-        # issue time through occupancy-chained mesh reads, so there is no
-        # in-flight state a probed address could collide with.
-        return True
-
-    def apply_span_events(self, base: int, events) -> None:
-        """Replay validated ``(rel, is_store, addr)`` events through the L1.
-
-        The per-event pump replays deferred front-side write-buffer drains
-        at their exact dense fire cycles before each event, so coalescing
-        decisions and D-NUCA posted-write state match dense issue ordering.
-        """
-        system = self.system
-        l1 = self.l1
-        pump = system._pump
-        reserve = l1.reserve_port
-        lookup = l1.lookup
-        coalesce = l1.write_buffer.coalesce_or_push
-        block_addr_of = l1.block_addr
-        counters = system.stats._counters
-        for rel, is_store, addr in events:
-            t = base + rel
-            pump(t)
-            start = reserve(t)
-            if is_store:
-                counters["writes"] += 1.0
-                lookup(addr, start, True)
-                coalesce(block_addr_of(addr), start)
-            else:
-                counters["reads"] += 1.0
-                lookup(addr, start, False)
-
-
 class DNUCASystem(MemorySystem):
     """A D-NUCA cache (optionally fronted by an L1) backed by main memory."""
 
@@ -111,8 +36,6 @@ class DNUCASystem(MemorySystem):
         self.dnuca = dnuca or DNUCACache(DNUCAConfig())
         self.memory = memory or MainMemory()
         self.l1 = l1
-        #: Lazily built window view handed out by :meth:`span_window`.
-        self._span_view: Optional[_DNUCASpanView] = None
 
     # ------------------------------------------------------------------ interface
     def can_accept(self, cycle: int, access: AccessType) -> bool:
@@ -218,41 +141,12 @@ class DNUCASystem(MemorySystem):
         reached = self._pump(cycle + FINALIZE_GUARD_CYCLES)
         if self.busy():
             raise self.wedged_error(cycle)
-        # The window view points back at this system; dropping it leaves a
-        # finished system acyclic (span_window rebuilds it on demand).
-        self._span_view = None
         return reached if reached > cycle else cycle
 
     def pending_work(self) -> str:
         if self.l1 is not None and not self.l1.write_buffer.is_empty():
             return f"{self.l1.name}.wb:{self.l1.write_buffer.occupancy} buffered writes"
         return "none"
-
-    def span_window(self, cycle: int):
-        """A steady-state window view, or ``None`` (see the base contract).
-
-        Only the L1-fronted configuration is analyzable: the D-NUCA behind
-        the L1 resolves all of its timing at issue time and is never
-        consulted inside a hit-only window, so the gates reduce to the
-        front side — a unit-initiation L1 with all ports free at ``cycle``
-        and a one-per-cycle write-buffer drain (the buffer's residual
-        occupancy and drain offset go into the view's entry signature).
-        The store path needs no MSHR or residency gate: both the hit and
-        the miss branch post through the write buffer at ``start + 1``.
-        """
-        l1 = self.l1
-        if l1 is None:
-            return None
-        self._pump(cycle)
-        if l1._initiation_cycles != 1 or l1.write_buffer.drain_interval != 1:
-            return None
-        for free in l1._port_free_cycle:
-            if free > cycle:
-                return None
-        view = self._span_view
-        if view is None:
-            view = self._span_view = _DNUCASpanView(self)
-        return view
 
     # ------------------------------------------------------------------ internals
     def _issue_with_l1(self, request: MemoryRequest, cycle: int) -> None:

@@ -353,10 +353,6 @@ class SweepManager:
                 "pool_reused": lifetime.pool_reused,
                 "snapshot_disk_hits": lifetime.snapshot_disk_hits,
                 "degraded": lifetime.degraded(),
-                "hier_fast_forwarded_cycles": lifetime.hier_fast_forwarded_cycles,
-                "hier_schedule_replays": lifetime.hier_schedule_replays,
-                "sched_store_hits": lifetime.sched_store_hits,
-                "sched_store_builds": lifetime.sched_store_builds,
             },
             "worker_pool": worker_pool_stats(),
             "cache_dir": self.cache.directory if self.cache is not None else None,

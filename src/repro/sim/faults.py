@@ -47,11 +47,10 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``journal`` / ``store`` / ``snapshot-store`` / ``schedule-store``
+``result-cache`` / ``trace-pool`` / ``journal`` / ``store`` / ``snapshot-store``
     Fire after the respective file has been written (``store`` is the
     SQLite result store, fired after each row insert commits;
-    ``snapshot-store`` is the on-disk prewarm blob store;
-    ``schedule-store`` is the persistent analytic-schedule store).  Matched
+    ``snapshot-store`` is the on-disk prewarm blob store).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops
     ``corrupt`` (overwrite the head with garbage bytes), ``truncate``
     (halve the file), ``delete``.  File sites fire in the process that
@@ -62,6 +61,11 @@ Sites and their ops
     Fires when a prewarm snapshot blob is stored.  Op ``corrupt``
     replaces the pickle with garbage, exercising the rebuild-on-corrupt
     recovery.
+
+:data:`SITES` is the same table in code: a spec naming any other site,
+or an op its site does not act on, is refused with a ``ValueError``
+(an environment plan carrying one is ignored with a warning), so a
+typo cannot make a fault test pass without injecting anything.
 
 A plan may also carry a ``policy`` object whose keys override the
 active :class:`~repro.sim.plan.SupervisionPolicy` (``job_timeout``,
@@ -92,6 +96,22 @@ CRASH_EXIT_CODE = 173
 #: Bytes written over a file's head by the ``corrupt`` op.
 _CORRUPT_BYTES = b"\x00\x00repro-injected-corruption\x00\x00"
 
+_FILE_OPS = frozenset(("corrupt", "truncate", "delete"))
+
+#: Every site the hooks below fire, with the ops that site acts on.
+SITES: Dict[str, frozenset] = {
+    "worker-job": frozenset(("crash", "hang", "garbage", "error", "fatal-error")),
+    "commit": frozenset(("exit",)),
+    "spawn": frozenset(("error",)),
+    "worker-recycle": frozenset(("kill",)),
+    "result-cache": _FILE_OPS,
+    "trace-pool": _FILE_OPS,
+    "journal": _FILE_OPS,
+    "store": _FILE_OPS,
+    "snapshot-store": _FILE_OPS,
+    "snapshot-blob": frozenset(("corrupt",)),
+}
+
 
 @dataclass
 class FaultSpec:
@@ -106,6 +126,18 @@ class FaultSpec:
     times: Optional[int] = None  #: max firings (``None`` = unlimited)
     seconds: float = 3600.0  #: sleep duration of the ``hang`` op
     fired: int = 0  #: firings so far (mutated by matching)
+
+    def __post_init__(self) -> None:
+        ops = SITES.get(self.site)
+        if ops is None:
+            raise ValueError(
+                f"unknown fault site {self.site!r} (known: {', '.join(sorted(SITES))})"
+            )
+        if self.op not in ops:
+            raise ValueError(
+                f"fault site {self.site!r} has no op {self.op!r} "
+                f"(known: {', '.join(sorted(ops))})"
+            )
 
     def matches(self, *, job=None, nth=None, attempt=None, path=None) -> bool:
         if self.times is not None and self.fired >= self.times:

@@ -125,51 +125,6 @@ class MemorySystem(ABC):
         """
         return cycle + 1 if self.busy() else None
 
-    def span_window(self, cycle: int):
-        """An analyzable steady-state window view, or ``None``.
-
-        The core's memory-inclusive span engine
-        (:meth:`repro.cpu.core.OoOCore._run_span_mem`) asks the hierarchy
-        for a *window view* before fast-forwarding a span containing loads
-        and stores.  A hierarchy may return a view object only when its
-        front side is in a closed-form steady state: no in-flight waves,
-        every port free at or before ``cycle``, and every deferred drain
-        already replayed up to ``cycle`` (the §3 deferred-drain exemption
-        keeps *future* drain work invisible inside the window, so it needs
-        no representation in the view).  Outstanding misses need not close
-        the window wholesale — a hierarchy whose in-flight entries are pure
-        timing tokens (fills already applied at issue) may keep the window
-        open and instead veto individual probes through ``mshr_clear``.
-        Under those conditions a front-side **hit** behaves as a pure
-        function of the entry cycle:
-
-        * a load hit completes at ``start + load_latency``;
-        * a store hit (or write-through store) completes at ``start + 1``
-          and either pushes into a write buffer of ``store_capacity``
-          entries or just dirties the resident block
-          (``store_capacity is None``).
-
-        The view must expose: ``entry_sig(cycle)`` (a cycle-relative tuple
-        identifying the hierarchy's timing state at window entry, used in
-        the schedule-memo key), ``load_latency``, ``ports``,
-        ``store_capacity``, ``store_needs_residency`` (True when store hits
-        also require the block resident in the front array — copy-back /
-        L-NUCA fronts), ``front_name``, ``block_addr(addr)``,
-        ``resident(addr)`` (a pure residency probe that must not touch
-        replacement state or statistics), ``mshr_clear(addrs)`` (True when
-        no probed address maps to a live in-flight entry — a probe that
-        would take the dense secondary-merge path must truncate the window
-        instead), and ``apply_span_events(base, events)`` replaying the
-        validated ``(rel_cycle, is_store, addr)`` events through the real
-        issue primitives so statistics, LRU state and port reservations are
-        bit-identical to dense issue by construction.
-
-        The default (and any hierarchy without a steady-state fast path)
-        returns ``None``: the engine then falls back to the pure-ALU span
-        engine and per-cycle ticking, which is always correct.
-        """
-        return None
-
     def busy(self) -> bool:
         """Return True while the hierarchy still has internal work pending."""
         return False

@@ -98,7 +98,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim import faults, schedstore
+from repro.sim import faults
 
 # Imported at module level on purpose: pool workers are forked lazily and
 # must never take the import lock mid-job (a function-level import inside a
@@ -1246,20 +1246,6 @@ class ExecutionStats:
     quarantined: int = 0
     resumed_from_journal: int = 0
     workers_effective: int = 0
-    #: Hierarchy span-engine engagement, summed over every simulated job:
-    #: cycles fast-forwarded analytically and schedules replayed from the
-    #: memo.  Zero under ``REPRO_NO_HIER_BATCH=1`` (the kill switch) and
-    #: for purely cached executions; results are bit-identical either way,
-    #: so these are engagement diagnostics, not model statistics.
-    hier_fast_forwarded_cycles: int = 0
-    hier_schedule_replays: int = 0
-    #: Persistent schedule-store traffic (:mod:`repro.sim.schedstore`):
-    #: blob loads that restored span/hier schedules built by another
-    #: process, and blob publishes of schedules this execution built.
-    #: Zero under ``REPRO_NO_SCHED_STORE=1``; results are bit-identical
-    #: either way, so these too are engagement diagnostics.
-    sched_store_hits: int = 0
-    sched_store_builds: int = 0
 
     def add(self, other: "ExecutionStats") -> None:
         self.jobs += other.jobs
@@ -1277,10 +1263,6 @@ class ExecutionStats:
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
         self.resumed_from_journal += other.resumed_from_journal
-        self.hier_fast_forwarded_cycles += other.hier_fast_forwarded_cycles
-        self.hier_schedule_replays += other.hier_schedule_replays
-        self.sched_store_hits += other.sched_store_hits
-        self.sched_store_builds += other.sched_store_builds
         self.workers_effective = max(self.workers_effective, other.workers_effective)
 
     def describe(self) -> str:
@@ -1293,11 +1275,7 @@ class ExecutionStats:
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
             f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
-            f"pool_reused={self.pool_reused} snapshot_disk_hits={self.snapshot_disk_hits} "
-            f"hier_fast_forwarded_cycles={self.hier_fast_forwarded_cycles} "
-            f"hier_schedule_replays={self.hier_schedule_replays} "
-            f"sched_store_hits={self.sched_store_hits} "
-            f"sched_store_builds={self.sched_store_builds}"
+            f"pool_reused={self.pool_reused} snapshot_disk_hits={self.snapshot_disk_hits}"
         )
 
     def degraded(self) -> bool:
@@ -1517,44 +1495,36 @@ def _warn_cache_bypassed(version: str) -> None:
 
 
 def _run_job(
-    plan: RunPlan,
     job: JobSpec,
+    builder: BuilderSpec,
     trace: Trace,
+    labels: Tuple[str, str],
+    core_config: Optional[CoreConfig],
     snapshot_key: Optional[Tuple[str, str]],
     local_blobs: Dict,
     stats: ExecutionStats,
     disk_store: Optional[SnapshotStore] = None,
-    sched_store: Optional[schedstore.ScheduleStore] = None,
-    sched_key: Optional[Tuple[str, str]] = None,
 ) -> RunResult:
-    """Simulate one job (the only place a core is ever constructed)."""
-    builder = plan.builders[job.builder]
-    source = plan.traces[job.trace]
-    if sched_store is not None and sched_key is not None:
-        # Restore any schedules a sibling process already built for this
-        # (trace, config) before the core decodes: the first run then
-        # starts at warm-replay speed instead of rebuilding the memos.
-        stats.sched_store_hits += schedstore.restore_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
+    """Simulate one job: the executor's only core construction.
+
+    In-process jobs (:func:`execute`) and pool-worker jobs
+    (:func:`_run_payload`) both run here; they differ only in where the
+    builder, trace, snapshot store and ``(workload, category)`` labels
+    come from.  Snapshot counters land in ``stats``.
+    """
     if job.prewarm:
         system = _prewarmed_system(
             builder, trace, snapshot_key, local_blobs, stats, disk_store
         )
     else:
         system = builder.factory()
-    core = OoOCore(trace, system, config=plan.core_config)
+    core = OoOCore(trace, system, config=core_config)
     summary = simulate(core, mode=job.mode)
-    stats.hier_fast_forwarded_cycles += core.hier_ff_cycles
-    stats.hier_schedule_replays += core.hier_replays
-    if sched_store is not None and sched_key is not None:
-        stats.sched_store_builds += schedstore.publish_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
+    workload, category = labels
     return RunResult(
         system=job.system,
-        workload=source.name,
-        category=source.category,
+        workload=workload,
+        category=category,
         ipc=summary["ipc"],
         cycles=summary["cycles"],
         instructions=summary["instructions"],
@@ -1633,10 +1603,7 @@ def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
         trace = trace_from_records(name, category, blob)
     cache[key] = trace
     while len(cache) > _WORKER_TRACE_CAP:
-        _, evicted = cache.popitem(last=False)
-        # Last chance before the decoded memos are garbage-collected:
-        # flush any schedules built since their last disk sync.
-        schedstore.publish_pending(evicted)
+        cache.popitem(last=False)
     return trace
 
 
@@ -1644,75 +1611,27 @@ def _run_payload(
     payload: Dict[str, object],
     trace_cache: "OrderedDict",
     store_cache: Dict[Tuple[str, str], SnapshotStore],
-    sched_cache: Dict[Tuple[str, str], schedstore.ScheduleStore],
-) -> Tuple[RunResult, Tuple[int, int, int]]:
-    """Run one shipped job inside a pool worker; returns (result, counters).
+) -> Tuple[RunResult, ExecutionStats]:
+    """Run one shipped job inside a pool worker; returns (result, stats).
 
-    The counters tuple is this job's ``(snapshot_builds, snapshot_clones,
-    snapshot_disk_hits, hier_fast_forwarded_cycles, hier_schedule_replays,
-    sched_store_hits, sched_store_builds)`` delta — per-worker stats die
-    with the worker, so each reply carries its own delta back to the
-    supervisor.
+    The stats are this job's delta (snapshot builds, clones and disk
+    hits): per-worker state dies with the worker, so each reply carries
+    its own delta back for the supervisor to merge.
     """
-    builder: BuilderSpec = payload["builder"]
     trace = _payload_trace(payload, trace_cache)
     disk_store = None
-    if payload.get("snapshot_dir"):
+    if payload["snapshot_dir"]:
         store_key = (payload["snapshot_dir"], payload["snapshot_version"])
         disk_store = store_cache.get(store_key)
         if disk_store is None:
             disk_store = SnapshotStore(store_key[0], version=store_key[1])
             store_cache[store_key] = disk_store
-    # Schedule-store participation is re-checked worker-side (symmetric
-    # kill switch: the env may differ from the supervisor's fork-time
-    # state, and load/publish must disable together either way).
-    sched_store = None
-    sched_key = payload.get("sched_key")
-    if payload.get("sched_dir") and sched_key is not None and schedstore.store_enabled():
-        sched_store_key = (payload["sched_dir"], payload["sched_version"])
-        sched_store = sched_cache.get(sched_store_key)
-        if sched_store is None:
-            sched_store = schedstore.ScheduleStore(
-                sched_store_key[0], version=sched_store_key[1]
-            )
-            sched_cache[sched_store_key] = sched_store
-    sched_hits = sched_builds = 0
-    if sched_store is not None:
-        sched_hits = schedstore.restore_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
-    scratch = ExecutionStats()
-    if payload["prewarm"]:
-        system = _prewarmed_system(
-            builder, trace, payload["snapshot_key"], {}, scratch, disk_store
-        )
-    else:
-        system = builder.factory()
-    core = OoOCore(trace, system, config=payload["core_config"])
-    summary = simulate(core, mode=payload["mode"])
-    result = RunResult(
-        system=payload["system"],
-        workload=payload["workload"],
-        category=payload["category"],
-        ipc=summary["ipc"],
-        cycles=summary["cycles"],
-        instructions=summary["instructions"],
-        activity=system.activity(),
-        core_stats=core.stats.as_dict(),
+    delta = ExecutionStats()
+    result = _run_job(
+        payload["job"], payload["builder"], trace, payload["labels"],
+        payload["core_config"], payload["snapshot_key"], {}, delta, disk_store,
     )
-    if sched_store is not None:
-        sched_builds = schedstore.publish_schedules(
-            sched_store, trace, sched_key[0], sched_key[1]
-        )
-    return result, (
-        scratch.snapshot_builds,
-        scratch.snapshot_clones,
-        scratch.snapshot_disk_hits,
-        core.hier_ff_cycles,
-        core.hier_replays,
-        sched_hits,
-        sched_builds,
-    )
+    return result, delta
 
 
 def _pool_worker(conn) -> None:
@@ -1722,10 +1641,9 @@ def _pool_worker(conn) -> None:
     trace reference, snapshot addressing, pre-matched fault action) — the
     worker outlives the ``execute()`` call that forked it and serves any
     later sweep, so nothing may depend on fork-time sweep state.  Replies
-    ``(index, RunResult | _JobError, (builds, clones, disk_hits, ff, replays,
-    sched_hits, sched_builds))``; no
-    exception escapes — the supervisor, not the worker, decides between
-    retry and quarantine.  Exits on a ``None`` sentinel or a broken pipe.
+    ``(index, RunResult | _JobError, ExecutionStats delta)``; no exception
+    escapes — the supervisor, not the worker, decides between retry and
+    quarantine.  Exits on a ``None`` sentinel or a broken pipe.
     """
     # Fault plans are matched by the supervisor and shipped per job; a
     # plan inherited over fork must not also fire worker-side (its
@@ -1733,7 +1651,6 @@ def _pool_worker(conn) -> None:
     faults.install(None)
     trace_cache: "OrderedDict" = OrderedDict()
     store_cache: Dict[Tuple[str, str], SnapshotStore] = {}
-    sched_cache: Dict[Tuple[str, str], schedstore.ScheduleStore] = {}
     while True:
         try:
             message = conn.recv()
@@ -1742,16 +1659,14 @@ def _pool_worker(conn) -> None:
         if message is None:
             return
         index = message["index"]
-        counters = (0, 0, 0, 0, 0, 0, 0)
+        delta = ExecutionStats()
         payload: object
         try:
             action = faults.apply_worker_action(message.get("action"), message["label"])
             if action == "garbage":
                 payload = "\x00injected-garbage-payload"
             else:
-                payload, counters = _run_payload(
-                    message, trace_cache, store_cache, sched_cache
-                )
+                payload, delta = _run_payload(message, trace_cache, store_cache)
         except Exception as exc:
             payload = _JobError(
                 type(exc).__name__,
@@ -1759,7 +1674,7 @@ def _pool_worker(conn) -> None:
                 isinstance(exc, (SimulationError, ConfigurationError)),
             )
         try:
-            conn.send((index, payload, counters))
+            conn.send((index, payload, delta))
         except (BrokenPipeError, OSError):
             return
 
@@ -2287,6 +2202,7 @@ class _SupervisedExecutor:
             and isinstance(message, tuple)
             and len(message) == 3
             and message[0] == entry.index
+            and isinstance(message[2], ExecutionStats)
         )
         payload = message[1] if valid else None
         if valid and isinstance(payload, _JobError):
@@ -2300,15 +2216,7 @@ class _SupervisedExecutor:
             )
             return
         if valid and isinstance(payload, RunResult):
-            (builds, clones, disk_hits, ff_cycles, replays,
-             sched_hits, sched_builds) = message[2]
-            self.stats.snapshot_builds += builds
-            self.stats.snapshot_clones += clones
-            self.stats.snapshot_disk_hits += disk_hits
-            self.stats.hier_fast_forwarded_cycles += ff_cycles
-            self.stats.hier_schedule_replays += replays
-            self.stats.sched_store_hits += sched_hits
-            self.stats.sched_store_builds += sched_builds
+            self.stats.add(message[2])
             worker.pool_worker.jobs_done += 1
             self.commit(entry, payload)
             self.remaining -= 1
@@ -2418,16 +2326,6 @@ def execute(
             os.path.join(active_cache.directory, "snapshots"), version=version
         )
 
-    # Persistent analytic-schedule store: same placement and dirty/unknown
-    # version rule as the snapshot tier.  ``store_enabled`` gates load and
-    # publish together (symmetric kill switch) — constructing no store here
-    # disables both sides at once, in this process and in every payload.
-    sched_store: Optional[schedstore.ScheduleStore] = None
-    if active_cache is not None and schedstore.store_enabled():
-        sched_store = schedstore.ScheduleStore(
-            os.path.join(active_cache.directory, "schedules"), version=version
-        )
-
     progress = on_progress if on_progress is not None else _DEFAULT_PROGRESS
     total = len(plan.jobs)
     done = 0
@@ -2452,11 +2350,7 @@ def execute(
                 if memo_key is not None:
                     _TRACE_MEMO[memo_key] = trace
                     while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-                        _, evicted = _TRACE_MEMO.popitem(last=False)
-                        # Publish-on-eviction: schedules built since the
-                        # evicted trace's last job must reach disk before
-                        # the decode is garbage-collected.
-                        stats.sched_store_builds += schedstore.publish_pending(evicted)
+                        _TRACE_MEMO.popitem(last=False)
             elif pool is not None:
                 # Memo hit, but the file-backed capture must still appear.
                 pool.ensure(source, trace, stats)
@@ -2574,7 +2468,6 @@ def execute(
     try:
         if pending:
             snapshot_keys: Dict[JobSpec, Tuple[str, str]] = {}
-            sched_keys: Dict[JobSpec, Tuple[str, str]] = {}
             local_blobs: Dict[Tuple[str, str], bytes] = {}
             for index, job, key in pending:
                 materialize(job.trace)  # pool files land before any dispatch
@@ -2584,16 +2477,15 @@ def execute(
                         builder_digest or f"adhoc:{job.builder}",
                         content_digest(job.trace),
                     )
-                if sched_store is not None and job not in sched_keys:
-                    # Schedule blobs address by (trace content, config):
-                    # ad-hoc builders (no digest) stay per-process.
-                    builder_digest = plan.builders[job.builder].digest()
-                    if builder_digest is not None:
-                        sched_keys[job] = (
-                            content_digest(job.trace),
-                            f"{builder_digest}/{core_digest}",
-                        )
             stats.simulated = len(owned)
+
+            def run_here(job: JobSpec) -> RunResult:
+                source = plan.traces[job.trace]
+                return _run_job(
+                    job, plan.builders[job.builder], traces[job.trace],
+                    (source.name, source.category), plan.core_config,
+                    snapshot_keys.get(job), local_blobs, stats, disk_store,
+                )
 
             def commit(index: int, job: JobSpec, key: Optional[str],
                        result: RunResult) -> None:
@@ -2687,13 +2579,10 @@ def execute(
                         "action": faults.worker_job_action(
                             entry.label(), entry.seq, entry.attempts
                         ),
-                        "system": job.system,
-                        "workload": source.name,
-                        "category": source.category,
+                        "job": job,
+                        "labels": (source.name, source.category),
                         "builder": plan.builders[job.builder],
                         "trace_ref": trace_ref(entry),
-                        "prewarm": job.prewarm,
-                        "mode": job.mode,
                         "core_config": plan.core_config,
                         "snapshot_key": snapshot_keys.get(job),
                         "snapshot_dir": (
@@ -2702,21 +2591,7 @@ def execute(
                         "snapshot_version": (
                             disk_store.version if disk_store is not None else None
                         ),
-                        "sched_key": sched_keys.get(job),
-                        "sched_dir": (
-                            sched_store.directory if sched_store is not None else None
-                        ),
-                        "sched_version": (
-                            sched_store.version if sched_store is not None else None
-                        ),
                     }
-
-                def run_local(entry: _Pending) -> RunResult:
-                    return _run_job(
-                        plan, entry.job, traces[entry.job.trace],
-                        snapshot_keys.get(entry.job), local_blobs, stats, disk_store,
-                        sched_store, sched_keys.get(entry.job),
-                    )
 
                 executor = _SupervisedExecutor(
                     entries,
@@ -2727,21 +2602,14 @@ def execute(
                     ),
                     processes=min(workers, len(owned)),
                     payload_for=payload_for,
-                    run_local=run_local,
+                    run_local=lambda entry: run_here(entry.job),
                     transportable=transportable,
                 )
                 failures = executor.run()
             elif owned:
                 stats.workers_effective = max(stats.workers_effective, 1)
                 for index, job, key in owned:
-                    commit(
-                        index, job, key,
-                        _run_job(
-                            plan, job, traces[job.trace], snapshot_keys.get(job),
-                            local_blobs, stats, disk_store,
-                            sched_store, sched_keys.get(job),
-                        ),
-                    )
+                    commit(index, job, key, run_here(job))
 
             if waiting:
                 # Quarantined owned jobs never committed: release their
@@ -2767,14 +2635,7 @@ def execute(
                     if adopted is None:
                         stats.simulated += 1
                         stats.workers_effective = max(stats.workers_effective, 1)
-                        commit(
-                            index, job, key,
-                            _run_job(
-                                plan, job, traces[job.trace], snapshot_keys.get(job),
-                                local_blobs, stats, disk_store,
-                                sched_store, sched_keys.get(job),
-                            ),
-                        )
+                        commit(index, job, key, run_here(job))
                         continue
                     result = _copy_result(adopted)
                     result.system = job.system

@@ -36,16 +36,7 @@ which runs the dense-equivalent ticks in one pass and only ticks the
 memory system at the cycles it declares through ``next_event_cycle``
 (hierarchies with only deterministic drain work left declare none at all
 and burst-replay it on their next observation — see
-:mod:`repro.sim.memsys`).  Inside a batch the core tries its analytic
-span engines before ticking: the memory-inclusive hierarchy engine
-(:meth:`~repro.cpu.core.OoOCore._run_span_mem`, steady-state hit
-streaks priced through the hierarchy's ``span_window`` view) and the
-pure-ALU engine (:meth:`~repro.cpu.core.OoOCore._run_span`), both
-clamped to the same ``next_event_cycle`` horizon so the hierarchy's
-tick schedule is unchanged.  This loop never sees the engines — they
-are invisible below ``run_batch`` — which is why the
-``REPRO_NO_HIER_BATCH`` / ``REPRO_NO_SPAN_BATCH`` kill switches need no
-scheduler cooperation.  Both modes enforce the ``max_cycles`` deadlock
+:mod:`repro.sim.memsys`).  Both modes enforce the ``max_cycles`` deadlock
 guard identically: no cycle beyond the limit is ever simulated, and the
 abort raises the same :class:`~repro.common.errors.SimulationError` from
 either loop.

@@ -1,395 +1,22 @@
-"""Persistent analytic-schedule store: span/hier memos shared across processes.
+"""Stand-ins for the removed on-disk schedule store.
 
-The two analytic engines in :meth:`repro.cpu.core.OoOCore.run_batch` memoize
-their computed schedules on the :class:`~repro.cpu.trace.DecodedTrace`
-(``span_memo`` / ``hier_memo``): a schedule is a pure function of (trace
-bytes, core + hierarchy configuration, engine version, entry state), so a
-memo hit replays in O(exit state) instead of re-running the three analysis
-passes.  Those memos used to live per-process — every pooled worker and
-every fresh ``execute()`` rebuilt them from scratch, which is why warm
-sweep throughput never saw the engines' warm-replay speedups.
-
-This module adds the disk tier: a content-addressed blob store
-(:class:`ScheduleStore`, ``<cache>/schedules/<aa>/<digest>.blob``) holding
-the serialized memo tables per (simulator version, trace content digest,
-config key).  The *first* run of a trace in any process starts at
-warm-replay speed when a sibling — a pool worker, yesterday's sweep, the
-service — already built the schedules.  Replay-side validation is
-unchanged: restored entries go through exactly the same memo probe and
-structural checks as locally built ones, so results stay bit-identical to
-dense by construction; a corrupt blob degrades to a miss (discarded with a
-warning and rebuilt), never to a wrong schedule.
-
-Store discipline mirrors :class:`repro.sim.plan.SnapshotStore`: digests are
-the sha256 of ``schedule/{simulator version}/{trace digest}/{config key}``
-(the version in the address means a code change can never serve stale
-schedules), writes are tmp+fsync+``os.replace`` and fire the
-``schedule-store`` fault site, pruning is size-capped LRU under
-``REPRO_SCHEDULE_LIMIT_MB`` (falling back to the shared
-``REPRO_CACHE_LIMIT_MB``).  ``REPRO_NO_SCHED_STORE=1`` is the kill switch
-and is deliberately **symmetric**: it disables both load *and* publish
-(:func:`store_enabled` is checked by every caller on both sides), so the
-disabled leg of an A/B measures the true no-store baseline instead of
-silently warming the store for the other leg.
-
-Blobs are versioned by :data:`SCHED_CODEC`; a blob with an unknown codec
-or shape is treated as a miss (and swept by :meth:`ScheduleStore.verify`),
-never misread.
-
-The per-process load/publish bookkeeping lives on the decoded trace
-(``DecodedTrace.sched_sync``): one load per (store, trace, config) per
-process, and a publish only when the tables actually changed since the
-last sync — repeated jobs over one trace do not rewrite identical blobs.
+The store persisted the core's analytic span schedules; both the engines
+and the store are gone (DESIGN.md §5).  These three names remain only so
+the benchmark tracer can still wrap them; nothing in the package calls
+them, and each returns 0.
 """
 
-from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import warnings
-from typing import Dict, List, Optional, Tuple
-
-from repro.sim import faults
-
-#: Bump when the blob layout or the memo key/record format changes; old
-#: blobs then miss (and are swept by ``verify``) instead of being misread.
-#: The simulator version is part of the blob *address*, so engine-behaviour
-#: changes partition automatically; this guards the serialization itself.
-SCHED_CODEC = 1
-
-_HEADER = "sched"
+# Kept for e2ebench/e2e_trace.py, its only reader.
+def restore_schedules(*args, **kwargs) -> int:
+    return 0
 
 
-def store_enabled() -> bool:
-    """Whether the schedule store participates at all (symmetric kill switch).
-
-    ``REPRO_NO_SCHED_STORE=1`` disables **both** load and publish — a
-    one-sided disable would let the "disabled" leg of an A/B warm the
-    store for the enabled leg (exactly the asymmetric ``REPRO_NO_POOL``
-    bug the snapshot-store bench assertion caught).
-    """
-    return os.environ.get("REPRO_NO_SCHED_STORE", "") in ("", "0")
+# Kept for e2ebench/e2e_trace.py, its only reader.
+def publish_schedules(*args, **kwargs) -> int:
+    return 0
 
 
-def _encode(span_memo: Dict, hier_memo: Dict) -> bytes:
-    return pickle.dumps(
-        (_HEADER, SCHED_CODEC, span_memo, hier_memo),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def _decode(blob: bytes) -> Optional[Tuple[Dict, Dict]]:
-    """Decode a schedule blob; ``None`` for unknown codec/shape.
-
-    Raises on a blob that does not unpickle (the caller treats that as
-    corruption); returns ``None`` — a plain miss — for a well-formed
-    pickle that is not a current-codec schedule payload.
-    """
-    payload = pickle.loads(blob)
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 4
-        or payload[0] != _HEADER
-        or payload[1] != SCHED_CODEC
-        or not isinstance(payload[2], dict)
-        or not isinstance(payload[3], dict)
-    ):
-        return None
-    return payload[2], payload[3]
-
-
-class ScheduleStore:
-    """Content-addressed on-disk store of analytic-schedule blobs.
-
-    One blob per (simulator version, trace content digest, config key):
-    the pickled ``(span_memo, hier_memo)`` tables of a decoded trace,
-    including negative memos (memoized abandonments are as valuable to
-    skip as schedules are to replay).  Memo keys fully qualify their core
-    and hierarchy configuration, so a blob written while several configs
-    shared one trace is a harmless superset for any one of them — loading
-    merges, never replaces.
-    """
-
-    #: Amortisation: the size audit walks the blob tree, so it runs at
-    #: most once every this many writes (and on the first write).
-    PRUNE_EVERY = 16
-
-    def __init__(self, directory: str, version: Optional[str] = None,
-                 limit_mb: Optional[float] = None):
-        self.directory = directory
-        self.version = version if version else "unversioned"
-        self._write_failed = False
-        if limit_mb is None:
-            for knob in ("REPRO_SCHEDULE_LIMIT_MB", "REPRO_CACHE_LIMIT_MB"):
-                env = os.environ.get(knob)
-                if not env:
-                    continue
-                try:
-                    limit_mb = float(env)
-                except ValueError:
-                    warnings.warn(
-                        f"{knob}={env!r} is not a number; ignoring it",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                break
-        self.limit_bytes = None if limit_mb is None else int(limit_mb * 1024 * 1024)
-        self._puts_since_prune: Optional[int] = None  # None = never audited
-
-    def _path(self, key: Tuple[str, str]) -> str:
-        digest = hashlib.sha256(
-            f"schedule/{self.version}/{key[0]}/{key[1]}".encode("utf-8")
-        ).hexdigest()
-        return os.path.join(self.directory, digest[:2], f"{digest}.blob")
-
-    def load(self, key: Tuple[str, str]) -> Optional[Tuple[Dict, Dict]]:
-        """The decoded memo tables for ``key``, or ``None`` on any miss.
-
-        A blob that fails to unpickle is corrupt (a torn write, bit rot,
-        an injected fault): discarded with a :class:`RuntimeWarning` and
-        rebuilt by the caller's next publish — never trusted, never fatal.
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        try:
-            decoded = _decode(blob)
-        except Exception as exc:
-            warnings.warn(
-                f"schedule store: corrupt blob {path} ({exc}); discarding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.discard(key)
-            return None
-        if decoded is None:  # stale codec: a miss, swept by verify()
-            return None
-        if self.limit_bytes is not None:
-            try:
-                os.utime(path)  # LRU stamp: hits protect their blob
-            except OSError:
-                pass
-        return decoded
-
-    def store(self, key: Tuple[str, str], span_memo: Dict, hier_memo: Dict) -> bool:
-        path = self._path(key)
-        try:
-            blob = _encode(span_memo, hier_memo)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError) as exc:
-            if not self._write_failed:
-                self._write_failed = True
-                warnings.warn(
-                    f"schedule store: disabled writes ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return False
-        faults.on_write("schedule-store", path)
-        count = self._puts_since_prune
-        if count is None or count + 1 >= self.PRUNE_EVERY:
-            self.prune()
-            self._puts_since_prune = 0
-        else:
-            self._puts_since_prune = count + 1
-        return True
-
-    def discard(self, key: Tuple[str, str]) -> None:
-        try:
-            os.remove(self._path(key))
-        except OSError:
-            pass
-
-    def prune(self) -> int:
-        """Evict oldest-access blobs until the store fits its size limit."""
-        if self.limit_bytes is None:
-            return 0
-        entries: List[Tuple[float, int, str]] = []
-        total = 0
-        try:
-            for dirpath, _, filenames in os.walk(self.directory):
-                for filename in filenames:
-                    if not filename.endswith(".blob"):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        info = os.stat(path)
-                    except OSError:
-                        continue
-                    entries.append((info.st_mtime, info.st_size, path))
-                    total += info.st_size
-        except OSError:
-            return 0
-        deleted = 0
-        if total > self.limit_bytes:
-            entries.sort()
-            for _, size, path in entries:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                total -= size
-                deleted += 1
-                if total <= self.limit_bytes:
-                    break
-        return deleted
-
-    def verify(self, delete: bool = True) -> Dict[str, int]:
-        """Scan the blob tree for corrupt blobs and stale tmp files.
-
-        A blob is *corrupt* when it does not decode as a current-codec
-        schedule payload — exactly the test :meth:`load` applies — and is
-        removed with ``delete`` (the default), as are ``.tmp`` leftovers
-        of crashed writers.  Returns ``{"checked", "corrupt", "stale_tmp",
-        "deleted"}`` counts; healthy blobs are byte-untouched.
-        """
-        report = {"checked": 0, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
-
-        def remove(path: str) -> None:
-            if delete:
-                try:
-                    os.remove(path)
-                    report["deleted"] += 1
-                except OSError:
-                    pass
-
-        for dirpath, _, filenames in os.walk(self.directory):
-            for filename in filenames:
-                path = os.path.join(dirpath, filename)
-                if ".tmp" in filename:
-                    report["stale_tmp"] += 1
-                    remove(path)
-                    continue
-                if not filename.endswith(".blob"):
-                    continue
-                report["checked"] += 1
-                try:
-                    with open(path, "rb") as handle:
-                        decoded = _decode(handle.read())
-                except Exception as exc:
-                    report["corrupt"] += 1
-                    warnings.warn(
-                        f"schedule store: corrupt blob {path} ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    remove(path)
-                    continue
-                if decoded is None:
-                    report["corrupt"] += 1
-                    warnings.warn(
-                        f"schedule store: stale-codec blob {path}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    remove(path)
-        return report
-
-
-# ------------------------------------------------------------------ sync helpers
-def _sync_key(store: ScheduleStore, trace_digest: str, cfg_key: str) -> tuple:
-    return (store.directory, store.version, trace_digest, cfg_key)
-
-
-def restore_schedules(
-    store: Optional[ScheduleStore], trace, trace_digest: str, cfg_key: str
-) -> int:
-    """Merge the stored schedules for (trace, config) into the decode.
-
-    Loads at most once per (store, trace, config) per process — the decoded
-    trace's ``sched_sync`` remembers the sync point, so the jobs of a sweep
-    that share a trace pay one disk read.  Merging uses ``setdefault``:
-    entries the process already built win (they are identical by the purity
-    contract; keeping them avoids touching hot dict slots), disk entries
-    fill the rest.  The recorded sync point is the sizes the *disk* covers
-    — ``(0, 0)`` on a miss — so schedules built before the first restore
-    (an uncached sweep earlier in the process) still count as unsynced
-    growth and get published.  Returns 1 when a blob restored at least one
-    entry (``sched_store_hits``), else 0.
-    """
-    if store is None or not store_enabled():
-        return 0
-    decoded = trace.decoded()
-    sync = decoded.sched_sync
-    key = _sync_key(store, trace_digest, cfg_key)
-    if key in sync:
-        return 0
-    loaded = store.load((trace_digest, cfg_key))
-    span_memo, hier_memo = decoded.span_memo, decoded.hier_memo
-    restored = 0
-    covered = (0, 0)
-    if loaded is not None:
-        disk_span, disk_hier = loaded
-        covered = (len(disk_span), len(disk_hier))
-        for memo, disk in ((span_memo, disk_span), (hier_memo, disk_hier)):
-            for entry_key, record in disk.items():
-                if entry_key not in memo:
-                    memo[entry_key] = record
-                    restored += 1
-    sync[key] = covered
-    return 1 if restored else 0
-
-
-def publish_schedules(
-    store: Optional[ScheduleStore], trace, trace_digest: str, cfg_key: str
-) -> int:
-    """Write the trace's current schedules back to the store if they grew.
-
-    A publish happens only when the memo sizes changed since the last sync
-    for this (store, trace, config) — jobs that replayed existing schedules
-    without building new ones rewrite nothing.  The whole tables are
-    written (memo keys fully qualify their config, so the blob is a valid
-    superset for every config that shares the trace).  Returns 1 when a
-    blob was written (``sched_store_builds``), else 0.
-    """
-    if store is None or not store_enabled():
-        return 0
-    decoded = trace._decoded_cache
-    if decoded is None:  # never decoded: nothing was simulated, nothing to publish
-        return 0
-    span_memo, hier_memo = decoded.span_memo, decoded.hier_memo
-    sizes = (len(span_memo), len(hier_memo))
-    if sizes == (0, 0):
-        return 0
-    sync = decoded.sched_sync
-    key = _sync_key(store, trace_digest, cfg_key)
-    if sync.get(key) == sizes:
-        return 0
-    if not store.store((trace_digest, cfg_key), span_memo, hier_memo):
-        return 0
-    sync[key] = sizes
-    return 1
-
-
-def publish_pending(trace) -> int:
-    """Flush a trace's unsynced schedules to every store it ever synced with.
-
-    The eviction hook: called just before a trace cache drops its last
-    reference to a decoded trace, so schedules built after the trace's
-    final job publish (a different config's job, an interleaved sweep)
-    still reach disk.  The sync bookkeeping names each store by
-    (directory, version), which is all a :class:`ScheduleStore` is —
-    reconstructing one here is cheap and keeps the hook dependency-free.
-    Returns the number of blobs written.
-    """
-    if not store_enabled():
-        return 0
-    decoded = getattr(trace, "_decoded_cache", None)
-    if decoded is None or not decoded.sched_sync:
-        return 0
-    published = 0
-    for directory, version, trace_digest, cfg_key in list(decoded.sched_sync):
-        store = ScheduleStore(directory, version=version)
-        published += publish_schedules(store, trace, trace_digest, cfg_key)
-    return published
+# Kept for e2ebench/e2e_trace.py, its only reader.
+def publish_pending(*args, **kwargs) -> int:
+    return 0

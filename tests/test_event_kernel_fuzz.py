@@ -8,7 +8,8 @@ the full bit-identity contract: cycle counts, IPC, every activity counter
 (which feed the energy model) and every core statistic.
 
 The parameter draws are derived deterministically from the case seed, so a
-failure reproduces from the test id alone.
+failure reproduces from the test id alone.  A last class reruns draws over
+one shared trace decode, the way a sweep runs every hierarchy on it.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ FAMILY_SAMPLERS = {
         "update_fraction": round(rng.uniform(0.5, 0.95), 2),
         "table_weight": round(rng.uniform(0.6, 0.95), 2),
     },
-    # Pure-ALU-dominant draws: long breaker-free spans drive the core's
-    # span-batched engine through its fast-forward, truncation and memo
-    # paths (warm and cold, all four hierarchies).
+    # Pure-ALU-dominant draws: long runs without memory operations keep
+    # run_batch's busy spans long and the memory system's declared events
+    # sparse (warm and cold, all four hierarchies).
     "compute-kernel": lambda rng: {
         "load_fraction": round(rng.uniform(0.0, 0.03), 4),
         "store_fraction": round(rng.uniform(0.0, 0.01), 4),
@@ -78,8 +79,8 @@ FAMILY_SAMPLERS = {
         "buffer_kb": rng.choice([8.0, 24.0, 64.0]),
     },
     # Alternating ALU/memory bursts: every phase boundary flips between
-    # span-engine territory and memory-bound flow, exercising the
-    # span-boundary handshake with in-flight hierarchy state.
+    # instruction-bound batching and memory-bound skipping, with
+    # hierarchy state still in flight across the switch.
     "phase-mix": lambda rng: {
         "phases": (
             {"family": "compute-kernel",
@@ -150,8 +151,8 @@ def _track_mshr_peaks(system) -> dict:
 def _assert_model_invariants(system, mshr_peaks: dict, context: str) -> None:
     """Conservation and exclusion invariants of the model itself.
 
-    Dense and event runs share the model, so dense==event cannot catch a
-    bug in it; these checks can.
+    Checked on a finalized run.  Dense and event runs share the model, so
+    dense==event cannot catch a bug in it; these checks can.
     """
     for cache in _timed_caches(system):
         stats = cache.stats
@@ -167,6 +168,12 @@ def _assert_model_invariants(system, mshr_peaks: dict, context: str) -> None:
             f"{context}: {buffer.name} overflowed"
         )
         assert buffer.occupancy <= buffer.num_entries, f"{context}: {buffer.name}"
+        # Writes drained == writes posted: every enqueued write is either
+        # drained or still queued, and finalize leaves none queued.
+        assert buffer.stats.get("writes_enqueued") == (
+            buffer.stats.get("writes_drained") + buffer.occupancy
+        ), f"{context}: {buffer.name} lost or invented writes"
+        assert buffer.occupancy == 0, f"{context}: {buffer.name} not drained at finalize"
     if not isinstance(system, LightNUCA):
         return
     rebuilt = {
@@ -227,21 +234,20 @@ class TestDenseEventFuzz:
     def test_cold_fuzzed_scenarios_bit_identical(self, system, family):
         # Cold runs maximise long idle spans — the deepest skips the
         # batched kernel takes — on the two most memory-hostile families,
-        # plus the span-engine-heavy draws (pure-ALU and alternating
-        # ALU/memory bursts), where cold misses interleave memory stalls
-        # with analytic fast-forwards.
+        # plus the pure-ALU and alternating ALU/memory draws, where cold
+        # misses interleave memory stalls with long batched busy spans.
         spec = _fuzz_spec(family, 47)
         trace = build_trace(spec, _N)
         dense = _run_checked(system, spec, trace, "dense", prewarm=False)
         event = _run_checked(system, spec, trace, "event", prewarm=False)
         _assert_identical(dense, event, f"{system}/{family} (cold)")
 
-    #: Targeted draws for the hierarchy span engine's extreme regimes,
-    #: pinned (not sampled) so they cannot drift out of the regime:
-    #: a low-skew zipf-kv whose tiny hot set turns warm runs into long
-    #: L1 hit streaks (maximum window engagement), and a giant-table
-    #: gups whose cold misses keep the MSHR files saturated (maximum
-    #: pressure on the per-address window gates and truncation paths).
+    #: Targeted draws for two extreme memory regimes, pinned (not
+    #: sampled) so they cannot drift out of the regime: a low-skew
+    #: zipf-kv whose tiny hot set turns warm runs into long L1 hit
+    #: streaks (back-to-back hits, write buffers coalescing), and a
+    #: giant-table gups whose cold misses keep the MSHR files saturated
+    #: (secondary merges, full-file stalls, lazy releases).
     TARGETED = {
         "hit-streak-heavy": (
             "zipf-kv",
@@ -272,36 +278,26 @@ class TestDenseEventFuzz:
         _assert_identical(dense, event, f"{system}/{regime}")
 
 
-class TestScheduleStoreFuzz:
-    """Store-enabled regime: schedules that cross a disk round-trip stay exact.
+class TestDecodedTraceReuseFuzz:
+    """A decoded trace shared across runs carries no state between them.
 
-    Each draw builds schedules in one trace, publishes them to a throwaway
-    :class:`ScheduleStore`, restores them into a *freshly decoded* copy of
-    the trace (empty memos, as a new process would see), and asserts the
-    replayed event run is bit-identical to dense.  Under the kill switch
-    (``REPRO_NO_SCHED_STORE=1``) publish and restore both no-op and the
-    case degrades to a plain warm-fuzz check — which must still hold.
+    Sweeps decode each trace once and run every hierarchy on it: the plan
+    layer memoizes traces per process, and each pool worker caches the
+    traces it has decoded.  Each draw runs dense, then event twice on that
+    same trace object, then event on a freshly generated copy with a
+    fresh decode, and asserts all of them bit-identical.
     """
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("family", ["compute-kernel", "phase-mix"])
-    def test_restored_schedules_bit_identical(self, system, family, tmp_path):
-        from repro.sim.schedstore import (
-            ScheduleStore,
-            publish_schedules,
-            restore_schedules,
-        )
-
+    def test_reused_decode_bit_identical(self, system, family):
         spec = _fuzz_spec(family, 83)
-        built = build_trace(spec, _N)
-        dense = run_workload(SYSTEMS[system], spec, _N, trace=built, mode="dense")
-        run_workload(SYSTEMS[system], spec, _N, trace=built, mode="event")
-
-        store = ScheduleStore(str(tmp_path / "schedules"), version="fuzz-v1")
-        published = publish_schedules(store, built, "fuzz-digest", f"cfg-{system}")
-
+        shared = build_trace(spec, _N)
+        dense = _run_checked(system, spec, shared, "dense")
+        for run in ("first", "second"):
+            event = _run_checked(system, spec, shared, "event")
+            _assert_identical(dense, event, f"{system}/{family} ({run} shared-decode run)")
         fresh = build_trace(spec, _N)
-        restored = restore_schedules(store, fresh, "fuzz-digest", f"cfg-{system}")
-        assert restored == published  # a published blob must restore; no blob, no hit
-        event = run_workload(SYSTEMS[system], spec, _N, trace=fresh, mode="event")
-        _assert_identical(dense, event, f"{system}/{family} (store round-trip)")
+        assert fresh is not shared
+        event = _run_checked(system, spec, fresh, "event")
+        _assert_identical(dense, event, f"{system}/{family} (fresh decode)")

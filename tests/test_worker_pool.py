@@ -15,9 +15,11 @@ Three layers, one contract — bit-identical to sequential by construction:
   eager loader (``REPRO_NO_MMAP=1`` fallback included).
 """
 
+import dataclasses
 import os
 import shutil
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -45,7 +47,13 @@ from repro.sim.plan import (
     worker_pool_stats,
 )
 
-from tests.test_plan import TINY, assert_identical, two_workloads
+from tests.test_plan import (
+    FOUR_HIERARCHIES,
+    TINY,
+    assert_identical,
+    result_tuple,
+    two_workloads,
+)
 
 FAST = SupervisionPolicy(backoff_base=0.01)
 
@@ -211,12 +219,7 @@ class TestPersistentPool:
         assert "simulated=0 " in text
         assert "retries=0 " in text
         assert "pool_reused=0 " in text
-        assert "snapshot_disk_hits=0 " in text
-        assert "hier_fast_forwarded_cycles=0 " in text
-        assert "hier_schedule_replays=0 " in text
-        assert text.endswith(
-            "sched_store_hits=0 sched_store_builds=0"
-        )
+        assert text.endswith("snapshot_disk_hits=0")
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
@@ -226,13 +229,18 @@ class TestPersistentPool:
         assert total.pool_reused == 4
         assert total.snapshot_disk_hits == 6
 
-    def test_add_sums_hier_engagement_counters(self):
+    def test_add_merges_every_counter(self):
+        # Each pool-worker reply carries its ExecutionStats delta, which
+        # the supervisor merges with add: a field add skips is lost.
+        names = [field.name for field in dataclasses.fields(ExecutionStats)]
+        part = ExecutionStats(**{name: index + 1 for index, name in enumerate(names)})
         total = ExecutionStats()
-        part = ExecutionStats(hier_fast_forwarded_cycles=10, hier_schedule_replays=2)
         total.add(part)
         total.add(part)
-        assert total.hier_fast_forwarded_cycles == 20
-        assert total.hier_schedule_replays == 4
+        for index, name in enumerate(names):
+            # workers_effective is a peak, not a count.
+            expected = index + 1 if name == "workers_effective" else 2 * (index + 1)
+            assert getattr(total, name) == expected, name
 
     def test_healthz_reports_worker_pool(self):
         from repro.service.manager import SweepManager
@@ -243,6 +251,84 @@ class TestPersistentPool:
         }
         assert payload["executor"]["pool_reused"] == 0
         assert payload["executor"]["snapshot_disk_hits"] == 0
+
+    def test_healthz_executor_fields(self):
+        from repro.service.manager import SweepManager
+
+        payload = SweepManager().healthz()
+        assert set(payload["executor"]) == {
+            "jobs", "simulated", "cached", "store_hits", "inflight_hits",
+            "retries", "timeouts", "quarantined", "pool_reused",
+            "snapshot_disk_hits", "degraded",
+        }
+
+    @pytest.mark.parametrize("prewarm", [True, False], ids=["warm", "cold"])
+    def test_fresh_workers_match_direct_path(self, cache, prewarm):
+        """Fresh workers, decoding every trace from its pool file, give
+        the direct path's results on all four hierarchy types."""
+        compiled = compile_sweep(
+            FOUR_HIERARCHIES, two_workloads(), TINY, prewarm=prewarm
+        )
+        reference = reference_results(compiled)
+        first = execute(compiled, cache=cache)  # writes the pool files
+        assert_identical(first.results, reference)
+        assert os.listdir(os.path.join(cache.directory, "traces"))
+        # Drop every warm tier a worker could inherit over fork.
+        shutil.rmtree(os.path.join(cache.directory, "results"))
+        plan._TRACE_MEMO.clear()
+        plan._SNAPSHOT_BLOBS.clear()
+        shutdown_worker_pool()
+        second = execute(compiled, workers=2, cache=cache, supervision=FAST)
+        assert not second.failures
+        assert second.stats.simulated == len(compiled.jobs)
+        assert_identical(second.results, reference)
+
+
+class TestOneJobRunner:
+    """Pool-worker jobs and in-process jobs run through one function.
+
+    ``_run_payload`` rebuilds a job's inputs from its shipped payload and
+    hands them to ``_run_job``, as :func:`execute` does in-process: fed
+    the same job, both paths give the same result and the same stats.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fresh_l1(self):
+        plan._SNAPSHOT_BLOBS.clear()
+        yield
+        plan._SNAPSHOT_BLOBS.clear()
+
+    @pytest.mark.parametrize("system", sorted(FOUR_HIERARCHIES))
+    def test_payload_path_matches_in_process_path(self, system):
+        compiled = compile_sweep(
+            {system: FOUR_HIERARCHIES[system]}, two_workloads()[:1], TINY
+        )
+        [job] = compiled.jobs
+        source = compiled.traces[job.trace]
+        trace = source.build()
+        labels = (source.name, source.category)
+        builder = compiled.builders[job.builder]
+        snapshot_key = (job.builder, job.trace)
+
+        local = ExecutionStats()
+        direct = plan._run_job(
+            job, builder, trace, labels, compiled.core_config, snapshot_key, {}, local
+        )
+        plan._SNAPSHOT_BLOBS.clear()  # the worker side builds its own snapshot
+        payload = {
+            "job": job,
+            "builder": builder,
+            "labels": labels,
+            "trace_ref": ("bytes", trace.name, trace.category, records_bytes(trace)),
+            "core_config": compiled.core_config,
+            "snapshot_key": snapshot_key,
+            "snapshot_dir": None,
+            "snapshot_version": None,
+        }
+        shipped, delta = plan._run_payload(payload, OrderedDict(), {})
+        assert result_tuple(shipped) == result_tuple(direct)
+        assert delta == local
+        assert local.snapshot_builds == 1
 
 
 class TestSnapshotStoreSharing:

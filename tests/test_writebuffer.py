@@ -1,5 +1,7 @@
 """Unit tests for the write buffer."""
 
+import random
+
 import pytest
 
 from repro.cache.writebuffer import WriteBuffer
@@ -162,3 +164,34 @@ class TestDrainUntil:
         # Port busy until cycle 2; the burst continues the same schedule.
         [(entry, fire)] = wb.drain_until(10)
         assert (entry.block_addr, fire) == (0x200, 2)
+
+
+class TestConservation:
+    """Writes drained == writes posted, under any mix of the buffer's calls.
+
+    Every write the buffer accepts is either drained or still queued; a
+    write coalesced into a queued one is neither posted nor drained.
+    """
+
+    @pytest.mark.parametrize("interval", [1, 2, 5])
+    def test_random_traffic_conserves_writes(self, interval):
+        rng = random.Random(interval)
+        wb = WriteBuffer(6, drain_interval=interval)
+        cycle = 0
+        for _ in range(500):
+            cycle += rng.randint(0, 3)
+            roll = rng.random()
+            if roll < 0.5:
+                if wb.can_accept():
+                    wb.coalesce_or_push(rng.randrange(8) * 64, cycle)
+            elif roll < 0.8:
+                wb.drain_one(cycle)
+            else:
+                wb.drain_until(cycle + 1)
+            assert wb.stats.get("writes_enqueued") == (
+                wb.stats.get("writes_drained") + wb.occupancy
+            )
+        assert wb.stats.get("writes_coalesced") > 0  # both paths were taken
+        wb.drain_until(cycle + 6 * interval + 1)
+        assert wb.occupancy == 0
+        assert wb.stats.get("writes_enqueued") == wb.stats.get("writes_drained")
