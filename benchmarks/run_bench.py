@@ -24,15 +24,15 @@ stage set:
 
 * ``micro_*`` — throughput of the inner loops every experiment relies on
   (array fill/lookup, a full L-NUCA miss search, trace generation, the
-  hierarchy set-up a report pays per job — factory, prewarm and snapshot
-  pickle, plus the exact count of objects one build adds — the
-  scenario engine's vectorized-vs-scalar-vs-legacy synthesis, binary
-  trace capture/replay, the repeated-sweep micro comparing the plan
-  layer's snapshot+pool and warm-cache paths against the direct path,
-  the store-vs-cache micro holding the SQLite result store's warm
-  hit path and raw query throughput against the cache tier, and the
-  parallel-sweep micro A/B-ing the persistent worker pool plus shared
-  snapshot blobs against the historical fork-per-sweep path);
+  hierarchy set-up a report pays per job — factory and prewarm, plus
+  the exact count of objects one build adds — the scenario engine's
+  vectorized-vs-scalar-vs-legacy synthesis, binary trace
+  capture/replay, the repeated-sweep micro comparing the plan layer's
+  trace pool+memo and warm-cache paths against the direct path, the
+  store-vs-cache micro holding the SQLite result store's warm hit path
+  and raw query throughput against the cache tier, and the
+  parallel-sweep micro A/B-ing the persistent worker pool against the
+  historical fork-per-sweep path);
 * ``fig4_sweep`` — the bench-sized Fig. 4 sweep (sizes from
   ``benchmarks/conftest.py``) in dense and event mode, passes interleaved
   (dense, event, dense, event ...), with a bit-identical-stats assertion
@@ -225,7 +225,7 @@ MAX_TRACKED_OBJECTS_PER_BUILD = 1_000
 
 
 def micro_build_prewarm(repeat):
-    """Hierarchy set-up as a report pays it: factory, prewarm, snapshot pickle.
+    """Hierarchy set-up as a report pays it per job: factory, then prewarm.
 
     Times each phase for one system of each report type on one default-size
     trace (best of ``repeat``), and counts the objects one build adds to the
@@ -233,7 +233,6 @@ def micro_build_prewarm(repeat):
     ``MAX_TRACKED_OBJECTS_PER_BUILD`` by ``--check-baseline``.
     """
     import gc
-    import pickle
 
     builders = {**conventional_builders(), **dnuca_builders()}
     spec = workload_by_name("mcf-like")
@@ -252,34 +251,25 @@ def micro_build_prewarm(repeat):
             gc.enable()
         del system
         factory_s, _ = _best_of(repeat, factory)
-        prewarm_s = pickle_s = float("inf")
+        prewarm_s = float("inf")
         for _ in range(repeat):
             system = factory()
             start = time.perf_counter()
             system.prewarm(addresses)
-            prewarmed = time.perf_counter()
-            blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-            pickled = time.perf_counter()
-            prewarm_s = min(prewarm_s, prewarmed - start)
-            pickle_s = min(pickle_s, pickled - prewarmed)
+            prewarm_s = min(prewarm_s, time.perf_counter() - start)
         del system  # freed before the next type's tracked-object count
         systems[name] = {
             "factory_s": factory_s,
             "prewarm_s": prewarm_s,
-            "pickle_s": pickle_s,
-            "blob_bytes": len(blob),
             "tracked_objects_per_build": tracked,
         }
-    total = sum(
-        entry["factory_s"] + entry["prewarm_s"] + entry["pickle_s"]
-        for entry in systems.values()
-    )
+    total = sum(entry["factory_s"] + entry["prewarm_s"] for entry in systems.values())
     return {
         "workload": spec.name,
         "instructions": DEFAULT_INSTRUCTIONS,
         "systems": systems,
         "total_wall_s": total,
-        "snapshots_per_s": len(systems) / total,
+        "builds_per_s": len(systems) / total,
         "max_tracked_objects_per_build": max(
             entry["tracked_objects_per_build"] for entry in systems.values()
         ),
@@ -295,13 +285,14 @@ def micro_sweep_cached(repeat, instructions=2000):
 
     * ``direct`` — fresh build, per-job prewarm, per-job synthesis (the
       historical per-sweep cost, the PR 3 baseline behaviour);
-    * ``plan`` — trace-pool replay plus prewarm-snapshot cloning (warm
-      pool/store, result cache off);
+    * ``plan`` — trace-pool replay plus the in-process trace memo (warm
+      pool and memo, result cache off); each job still builds and
+      prewarms its own hierarchy;
     * ``cached`` — warm content-addressed result cache: zero simulation.
 
-    Besides the full-sweep walls, the stage isolates the *setup* phase the
-    fast paths actually replace (trace materialization plus producing a
-    prewarmed hierarchy per job, no simulation): the full-sweep delta is
+    Besides the full-sweep walls, the stage isolates the *setup* phase
+    (trace materialization plus producing a prewarmed hierarchy per job,
+    no simulation), where the memo replaces synthesis: the full-sweep delta is
     bounded by the setup share of the sweep, which PR 1-3 already made
     sim-dominated, so the setup comparison is the stable signal while the
     full-sweep plan-vs-direct ratio sits near 1 within box noise.
@@ -322,14 +313,13 @@ def micro_sweep_cached(repeat, instructions=2000):
             cache = plan_module.ResultCache(os.path.join(tmp, "cache"))
 
             direct = lambda: plan_module.execute(  # noqa: E731
-                compiled(), snapshots=False, trace_memo=False
+                compiled(), trace_memo=False
             ).results
             fast = lambda: plan_module.execute(compiled(), pool=pool).results  # noqa: E731
             cached = lambda: plan_module.execute(compiled(), pool=pool, cache=cache).results  # noqa: E731
 
             baseline = direct()
-            plan_module._SNAPSHOT_BLOBS.clear()
-            fast()  # warm the pool and the snapshot store once
+            fast()  # warm the pool and the trace memo once
             # The two paths differ by ~10% while this box's wall clock
             # drifts by a comparable amount over seconds; interleaving the
             # best-of rounds (A/B per round instead of all-A then all-B)
@@ -344,8 +334,8 @@ def micro_sweep_cached(repeat, instructions=2000):
             cached()  # warm the result cache
             cached_wall, cached_results = _best_of(max(repeat, 5), cached)
 
-            # Setup-only phase: what the snapshot store and trace memo
-            # replace, isolated from the (dominant) simulation time.
+            # Setup-only phase: what the trace memo replaces, isolated
+            # from the (dominant) simulation time.
             def direct_setup():
                 traces = {
                     spec.name: compiled_plan.traces[spec.name].build() for spec in specs
@@ -353,8 +343,6 @@ def micro_sweep_cached(repeat, instructions=2000):
                 for job in compiled_plan.jobs:
                     system = builders[job.system].factory()
                     system.prewarm(traces[job.trace].resident_addresses())
-
-            scratch = plan_module.ExecutionStats()
 
             def plan_setup():
                 for job in compiled_plan.jobs:
@@ -364,17 +352,11 @@ def micro_sweep_cached(repeat, instructions=2000):
                     if trace is None:
                         trace = source.build()
                         plan_module._TRACE_MEMO[memo_key] = trace
-                    builder = builders[job.system]
-                    plan_module._prewarmed_system(
-                        builder,
-                        trace,
-                        (builder.digest(), plan_module.trace_digest(trace)),
-                        {},
-                        scratch,
-                    )
+                    system = builders[job.system].factory()
+                    system.prewarm(trace.resident_addresses())
 
             compiled_plan = compiled()
-            plan_setup()  # warm the memo and snapshot store
+            plan_setup()  # warm the memo
             direct_setup_wall = plan_setup_wall = None
             for _ in range(max(repeat, 5)):
                 wall, _ = _best_of(1, direct_setup)
@@ -386,7 +368,7 @@ def micro_sweep_cached(repeat, instructions=2000):
                     wall if plan_setup_wall is None else min(plan_setup_wall, wall)
                 )
         if not _results_identical(baseline, plan_results):
-            raise AssertionError("snapshot+pool sweep diverged from direct — plan bug")
+            raise AssertionError("pool+memo sweep diverged from direct — plan bug")
         if not _results_identical(baseline, cached_results):
             raise AssertionError("cached sweep diverged from direct — plan bug")
     finally:
@@ -503,12 +485,10 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
     """Shared-state parallel execution vs the fork-per-sweep path, A/B.
 
     The persistent-pool leg (A) runs ``--workers N`` sweeps on pooled
-    workers that share prewarm snapshots through the on-disk
-    :class:`~repro.sim.plan.SnapshotStore` and pooled traces through
-    ``mmap``; the fork-per-sweep leg (B) disables both
-    (``REPRO_NO_POOL=1`` + ``REPRO_NO_SNAPSHOT_STORE=1``), reproducing
-    the historical per-sweep behaviour: every sweep forks fresh workers
-    and every worker re-prewarms privately.  Rounds are interleaved
+    workers that keep their decoded traces across sweeps and read pooled
+    traces through ``mmap``; the fork-per-sweep leg (B) disables reuse
+    (``REPRO_NO_POOL=1``), reproducing the historical per-sweep
+    behaviour: every sweep forks fresh workers.  Rounds are interleaved
     (A/B per round) to cancel wall-clock drift, the result cache is
     wiped before every round so each run actually simulates, and both
     legs are asserted bit-identical to the sequential reference.
@@ -544,13 +524,9 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
             def fresh_round():
                 # Each timed run must simulate: drop the result tier but
-                # keep the snapshot blobs and pooled traces (the state
-                # under test), and drop the in-process snapshot L1 the
-                # next fork would inherit.
+                # keep the pooled traces.
                 shutil.rmtree(results_dir, ignore_errors=True)
-                plan_module._SNAPSHOT_BLOBS.clear()
 
-            plan_module._SNAPSHOT_BLOBS.clear()
             baseline = plan_module.execute(compiled(builders)).results
 
             def pooled():
@@ -560,30 +536,16 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
             def fork_per_sweep():
                 os.environ["REPRO_NO_POOL"] = "1"
-                os.environ["REPRO_NO_SNAPSHOT_STORE"] = "1"
                 try:
                     return plan_module.execute(
                         compiled(builders), cache=cache, workers=workers
                     )
                 finally:
                     os.environ.pop("REPRO_NO_POOL", None)
-                    os.environ.pop("REPRO_NO_SNAPSHOT_STORE", None)
 
-            # Warm the snapshot store and trace pool, then prove the
-            # cross-process contract: a fresh worker re-prewarms nothing
-            # a sibling already prewarmed (disk hits, zero builds).
+            # Warm the trace pool once.
             fresh_round()
             pooled()
-            plan_module.shutdown_worker_pool()
-            fresh_round()
-            first = pooled()
-            if first.stats.snapshot_builds:
-                raise AssertionError(
-                    "fresh pool workers re-prewarmed despite the snapshot "
-                    "store — blob sharing bug"
-                )
-            if not first.stats.snapshot_disk_hits:
-                raise AssertionError("no snapshot disk hits — blob sharing bug")
 
             pooled_wall = fork_wall = None
             pooled_run = fork_run = None
@@ -659,7 +621,6 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
         "fork_per_sweep_wall_s": fork_wall,
         "pooled_speedup_vs_fork": fork_wall / pooled_wall,
         "pooled_jobs_per_s": runs / pooled_wall,
-        "snapshot_disk_hits_cold_pool": first.stats.snapshot_disk_hits,
         "sequential_sum_wall_s": sequential_sum,
         "concurrent_wall_s": concurrent_wall,
         "concurrent_vs_sum_ratio": concurrent_wall / sequential_sum,
@@ -780,7 +741,7 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
             f"fig4 event sweep regressed {ratio:.2f}x vs {baseline_path} "
             f"(limit {max_slowdown:.2f}x)"
         )
-    # Repeated-sweep micro: the snapshot+pool path's throughput is held
+    # Repeated-sweep micro: the pool+memo path's throughput is held
     # against the committed baseline the same way (absent in BENCH files
     # older than the plan layer).
     cached_base = committed.get("micro_sweep_cached")
@@ -848,11 +809,11 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
             f"(limit {MAX_TRACKED_OBJECTS_PER_BUILD:,}): are sets allocated eagerly?"
         )
     build_base = committed.get("micro_build_prewarm")
-    if build_base and build_base.get("snapshots_per_s"):
-        build_ratio = build_base["snapshots_per_s"] / build_new["snapshots_per_s"]
+    if build_base and build_base.get("builds_per_s"):
+        build_ratio = build_base["builds_per_s"] / build_new["builds_per_s"]
         print(
-            f"baseline check: build+prewarm+pickle {build_new['snapshots_per_s']:,.1f} "
-            f"systems/s vs committed {build_base['snapshots_per_s']:,.1f} systems/s "
+            f"baseline check: build+prewarm {build_new['builds_per_s']:,.1f} "
+            f"systems/s vs committed {build_base['builds_per_s']:,.1f} systems/s "
             f"({build_ratio:.2f}x slowdown, limit {max_slowdown:.2f}x)"
         )
         if build_ratio > max_slowdown:
@@ -907,9 +868,9 @@ def main(argv=None):
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
-    print("micro: hierarchy build, prewarm and snapshot pickle ...", flush=True)
+    print("micro: hierarchy build and prewarm ...", flush=True)
     stages["micro_build_prewarm"] = micro_build_prewarm(args.repeat)
-    print("micro: repeated sweep (direct vs snapshot+pool vs cached) ...", flush=True)
+    print("micro: repeated sweep (direct vs pool+memo vs cached) ...", flush=True)
     stages["micro_sweep_cached"] = micro_sweep_cached(args.repeat, args.instructions)
     print("micro: result store vs result cache (warm hits, raw queries) ...", flush=True)
     stages["micro_store_query"] = micro_store_query(args.repeat, args.instructions)
@@ -949,7 +910,7 @@ def main(argv=None):
     cached = stages["micro_sweep_cached"]
     print(
         f"repeated sweep: direct {cached['direct_wall_s']:.2f}s, "
-        f"snapshot+pool {cached['plan_wall_s']:.2f}s "
+        f"pool+memo {cached['plan_wall_s']:.2f}s "
         f"({cached['plan_speedup_vs_direct']:.2f}x full sweep, "
         f"{cached['setup_speedup_vs_direct']:.2f}x setup phase), "
         f"warm cache {cached['cached_wall_s']:.3f}s "
@@ -975,10 +936,9 @@ def main(argv=None):
         )
     build = stages["micro_build_prewarm"]
     print(
-        "build/prewarm/pickle ("
+        "build/prewarm ("
         + ", ".join(
-            f"{name} {entry['factory_s'] * 1e3:.1f}/{entry['prewarm_s'] * 1e3:.1f}/"
-            f"{entry['pickle_s'] * 1e3:.1f} ms"
+            f"{name} {entry['factory_s'] * 1e3:.1f}/{entry['prewarm_s'] * 1e3:.1f} ms"
             for name, entry in build["systems"].items()
         )
         + f"): at most {build['max_tracked_objects_per_build']:,} tracked objects per build"

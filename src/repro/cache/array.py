@@ -327,54 +327,6 @@ class SetAssociativeArray:
                 return False
         return True
 
-    # -- pickling ----------------------------------------------------------------
-    def __getstate__(self):
-        """Sparse pickle form: geometry + policy + only the occupied slots.
-
-        Only allocated sets are walked, and only occupied entries stored;
-        ``__setstate__`` rebuilds the empty geometry through ``__init__``
-        and re-allocates exactly the sets that hold blocks, so the restored
-        array behaves identically (blocks are shared references, so
-        intra-pickle object identity is preserved).
-        """
-        sets = {}
-        tags = {}
-        for idx, ways in enumerate(self._sets):
-            if ways is None:
-                continue
-            entries = [(way, blk) for way, blk in enumerate(ways) if blk is not None]
-            if entries:
-                sets[idx] = entries
-            tag_map = self._tag_to_way[idx]
-            if tag_map:
-                tags[idx] = dict(tag_map)
-        return {
-            "size_bytes": self.size_bytes,
-            "associativity": self.associativity,
-            "block_size": self.block_size,
-            "policy": self.policy,
-            "on_change": self.on_change,
-            "sets": sets,
-            "tags": tags,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(
-            state["size_bytes"],
-            state["associativity"],
-            state["block_size"],
-            policy=state["policy"],
-        )
-        self.on_change = state.get("on_change")
-        all_sets = self._sets
-        all_tags = self._tag_to_way
-        stored_tags = state["tags"]
-        for idx, entries in state["sets"].items():
-            ways = all_sets[idx] = [None] * self.associativity
-            for way, blk in entries:
-                ways[way] = blk
-            all_tags[idx] = stored_tags.get(idx, {})
-
     # -- introspection -----------------------------------------------------------
     def occupancy(self) -> int:
         """Return the number of valid blocks currently resident."""

@@ -184,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache_cmd.add_subparsers(dest="cache_command", required=True)
     cache_verify = cache_sub.add_parser(
         "verify",
-        help="scan the result cache and the snapshot blob store for "
-        "corrupt or truncated entries (deleting them, so they "
-        "re-simulate / re-prewarm instead of erroring)",
+        help="scan the result cache for corrupt or truncated entries "
+        "(deleting them, so they re-simulate instead of erroring)",
     )
     cache_verify.add_argument(
         "--keep",
@@ -295,10 +294,6 @@ def _supervision(args):
 
 
 def _cache_verify(cache, keep: bool) -> None:
-    import os
-
-    from repro.sim.plan import SnapshotStore
-
     report = cache.verify(delete=not keep)
     verb = "found" if keep else "deleted"
     print(
@@ -307,13 +302,6 @@ def _cache_verify(cache, keep: bool) -> None:
         f"{report['stale_tmp']} stale tmp files, "
         f"{report['journals']} checkpoint journals "
         f"({report['stale_journals']} abandoned, {verb})"
-    )
-    snapshots = SnapshotStore(os.path.join(cache.directory, "snapshots"))
-    blobs = snapshots.verify(delete=not keep)
-    print(
-        f"snapshot store {snapshots.directory}: {blobs['checked']} blobs checked, "
-        f"{blobs['corrupt']} corrupt ({verb}), "
-        f"{blobs['stale_tmp']} stale tmp files"
     )
 
 

@@ -4,7 +4,7 @@ Every experiment compiles its sweep through :func:`figure_run` /
 :func:`repro.sim.runner.run_suite` onto the declarative plan layer
 (:mod:`repro.sim.plan`), so the builder dictionaries here are *digestable*
 :class:`~repro.sim.configs.BuilderSpec` registries — the identity that keys
-the content-addressed result cache and the prewarm snapshot store.
+the content-addressed result cache.
 """
 
 from __future__ import annotations

@@ -216,11 +216,12 @@ def map_trace(path: str) -> Trace:
         except (OSError, ValueError):
             return load_trace(path)
     expected = count * RECORD_BYTES
-    if len(mapping) - offset != expected:
+    found = len(mapping) - offset
+    if found != expected:
         mapping.close()
         raise TraceFormatError(
             f"{path}: expected {count} records ({expected} bytes), "
-            f"found {len(mapping) - offset} bytes"
+            f"found {found} bytes"
         )
     records = memoryview(mapping)[offset:offset + expected]
     return MappedTrace(

@@ -19,8 +19,7 @@ reads — ``counts.simulated == 0`` — with byte-identical results.
 Execution itself is shared too: each sweep thread's ``execute`` call
 enqueues its jobs into the process-wide persistent worker pool
 (:mod:`repro.sim.plan`), so concurrent non-identical sweeps draw from
-one set of warm workers and one on-disk snapshot blob store instead of
-serializing behind a fork lock.
+one set of warm workers instead of serializing behind a fork lock.
 """
 
 from __future__ import annotations
@@ -351,7 +350,6 @@ class SweepManager:
                 "timeouts": lifetime.timeouts,
                 "quarantined": lifetime.quarantined,
                 "pool_reused": lifetime.pool_reused,
-                "snapshot_disk_hits": lifetime.snapshot_disk_hits,
                 "degraded": lifetime.degraded(),
             },
             "worker_pool": worker_pool_stats(),

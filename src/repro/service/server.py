@@ -21,6 +21,8 @@ responsive while a sweep runs.
 from __future__ import annotations
 
 import json
+import os
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
@@ -155,7 +157,26 @@ def create_server(
     )
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True
+    _close_in_forked_children(server.socket)
     return server
+
+
+def _close_in_forked_children(sock) -> None:
+    """Close ``sock`` in every process forked from this one from now on.
+
+    Sweeps fork their pool workers from the serving process; a worker
+    that kept the listening socket would hold the port bound after the
+    server itself died.  ``close`` only drops the child's copy of the
+    descriptor, so the server keeps listening.
+    """
+    ref = weakref.ref(sock)
+
+    def close() -> None:
+        listening = ref()
+        if listening is not None:
+            listening.close()
+
+    os.register_at_fork(after_in_child=close)
 
 
 def serve(

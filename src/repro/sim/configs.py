@@ -19,8 +19,8 @@ For the declarative run-plan layer (:mod:`repro.sim.plan`) the four system
 types are also exposed as *digestable* :class:`BuilderSpec`\\ s
 (``conventional_spec`` / ``lnuca_l3_spec`` / ``dnuca_spec`` /
 ``lnuca_dnuca_spec``): a builder plus a canonical parameter description
-whose digest keys the content-addressed result cache and the prewarm
-snapshot store, plus the energy-model constructor for the same system.
+whose digest keys the content-addressed result cache, plus the
+energy-model constructor for the same system.
 """
 
 from __future__ import annotations

@@ -47,20 +47,15 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``journal`` / ``store`` / ``snapshot-store``
+``result-cache`` / ``trace-pool`` / ``journal`` / ``store``
     Fire after the respective file has been written (``store`` is the
-    SQLite result store, fired after each row insert commits;
-    ``snapshot-store`` is the on-disk prewarm blob store).  Matched
+    SQLite result store, fired after each row insert commits).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops
     ``corrupt`` (overwrite the head with garbage bytes), ``truncate``
     (halve the file), ``delete``.  File sites fire in the process that
     performs the write; pool workers run with no plan installed, so
     worker-side writes are disturbed by corrupting the file from the
     test process instead.
-``snapshot-blob``
-    Fires when a prewarm snapshot blob is stored.  Op ``corrupt``
-    replaces the pickle with garbage, exercising the rebuild-on-corrupt
-    recovery.
 
 :data:`SITES` is the same table in code: a spec naming any other site,
 or an op its site does not act on, is refused with a ``ValueError``
@@ -108,8 +103,6 @@ SITES: Dict[str, frozenset] = {
     "trace-pool": _FILE_OPS,
     "journal": _FILE_OPS,
     "store": _FILE_OPS,
-    "snapshot-store": _FILE_OPS,
-    "snapshot-blob": frozenset(("corrupt",)),
 }
 
 
@@ -340,13 +333,3 @@ def on_write(site: str, path: str) -> None:
                 handle.write(_CORRUPT_BYTES)
     except OSError:  # pragma: no cover - the file vanished underneath us
         pass
-
-
-def mangle_blob(blob: bytes) -> bytes:
-    """Called when a prewarm snapshot blob is stored; may corrupt it."""
-    if active() is None:
-        return blob
-    spec = _match("snapshot-blob", nth=_next("snapshot-blob"))
-    if spec is not None and spec.op == "corrupt":
-        return _CORRUPT_BYTES + blob[len(_CORRUPT_BYTES):]
-    return blob

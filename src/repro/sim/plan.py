@@ -9,22 +9,15 @@ loops with a compile/execute split:
   list of hashable :class:`JobSpec`\\ s over a registry of digestable
   builders (:class:`~repro.sim.configs.BuilderSpec`) and
   :class:`TraceSource`\\ s;
-* one **executor** (:func:`execute`) runs the plan, with three fast paths
-  that are guaranteed bit-identical to the direct path (fresh build,
-  per-job prewarm, per-job synthesis):
+* one **executor** (:func:`execute`) runs the plan.  Every job builds its
+  hierarchy and prewarms it from its trace's resident addresses (the
+  direct path); two fast paths around that are guaranteed bit-identical
+  to per-job synthesis and simulation:
 
   1. **trace pool** — each trace is materialized exactly once into a
      file-backed ``.lntr`` pool (:class:`TracePool`) and replayed from
      there, instead of being re-synthesized per sweep;
-  2. **prewarm snapshots** — jobs that share a (builder, trace) pair clone
-     a pickled functionally-prewarmed hierarchy instead of re-running
-     ``system.prewarm``.  The snapshot store is tiered: a process-global
-     L1 keyed by content digests, backed by an on-disk
-     content-addressed blob store (:class:`SnapshotStore`) next to the
-     result cache — so repeated sweeps, sibling experiments, *and every
-     worker process* share one set of snapshots, across process
-     lifetimes;
-  3. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
+  2. **result cache** — finished :class:`~repro.sim.runner.RunResult`\\ s
      are memoized in a content-addressed on-disk cache
      (:class:`ResultCache`) keyed by (builder digest, trace digest,
      simulator version, run parameters), so a warm re-run performs zero
@@ -71,7 +64,7 @@ Safety rules
   (``ResultCache.verify`` — ``repro cache verify`` — scans for them).
 * Builders without a digestable parameter description (ad-hoc lambdas) and
   traces without a generation signature still execute — they just skip the
-  result cache / pool and fall back to per-plan snapshot sharing.
+  result cache / pool.
 * ``REPRO_CACHE_DIR`` overrides the on-disk cache location;
   ``REPRO_SIM_VERSION`` pins the simulator version (used by tests and CI).
 
@@ -92,6 +85,7 @@ import subprocess
 import threading
 import time
 import warnings
+import weakref
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -297,6 +291,13 @@ def trace_digest(trace: Trace) -> str:
     return value
 
 
+def _tmp_path(path: str) -> str:
+    """A writer's private tmp name next to ``path``: process *and* thread,
+    so two threads saving one entry never share (and steal) a tmp file.
+    Keeps ``.tmp`` in the name, which is how ``verify`` finds leftovers."""
+    return f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
+
+
 # ------------------------------------------------------------------ trace pool
 class TracePool:
     """File-backed ``.lntr`` pool: each trace is synthesized exactly once.
@@ -347,7 +348,7 @@ class TracePool:
               stats: Optional["ExecutionStats"]) -> None:
         try:
             os.makedirs(self.directory, exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
+            tmp = _tmp_path(path)
             save_trace(trace, tmp, extra_meta=source.signature)
             os.replace(tmp, path)
             faults.on_write("trace-pool", path)
@@ -372,10 +373,15 @@ class TracePool:
             return source.build()
         path = self.path_for(source)
         if os.path.exists(path) and self._entry_current(path, source):
-            trace = map_trace(path)
-            if stats is not None:
-                stats.pool_loads += 1
-            return trace
+            try:
+                trace = map_trace(path)
+            except (OSError, TraceFormatError) as exc:
+                # A current header over cut records: regenerate, as above.
+                self._note(f"{path}: unreadable capture ({exc}), regenerating")
+            else:
+                if stats is not None:
+                    stats.pool_loads += 1
+                return trace
         trace = source.build()
         self._save(path, source, trace, stats)
         return trace
@@ -615,7 +621,7 @@ class ResultCache:
             payload["meta"] = meta
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
+            tmp = _tmp_path(path)
             with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
                 # Durability before visibility: entries double as sweep
@@ -926,287 +932,13 @@ def compile_sweep(
     return RunPlan(jobs=jobs, builders=builders, traces=sources, core_config=core_config)
 
 
-# ------------------------------------------------------------------ snapshots
+# Kept for e2ebench/e2e_trace.py, its only reader.
 class SnapshotStore:
-    """Content-addressed on-disk store of prewarm snapshot blobs.
+    def get(self, *args, **kwargs) -> None:
+        return None
 
-    The disk tier under the in-process ``_SNAPSHOT_BLOBS`` L1.  Blobs live
-    as ``<directory>/<aa>/<digest>.blob`` files, where the digest is the
-    sha256 of ``snapshot/{simulator version}/{builder digest}/{trace
-    digest}`` — the simulator version is part of the address, so a code
-    change can never serve a stale hierarchy against the clone-equals-fresh
-    contract.  Any process (persistent pool workers, concurrent service
-    sweeps, tomorrow's run) hits snapshots produced by any other: a fresh
-    worker re-prewarms nothing a sibling already prewarmed.
-
-    Writes follow the result cache's tmp+fsync+``os.replace`` discipline
-    and fire the ``snapshot-store`` fault site.  IO failures degrade to a
-    miss; corrupt blobs are detected on unpickle by the consumer
-    (:func:`_prewarmed_system`), discarded, and rebuilt.  Size-capped LRU
-    pruning mirrors :class:`ResultCache`: ``REPRO_SNAPSHOT_LIMIT_MB``,
-    falling back to the shared ``REPRO_CACHE_LIMIT_MB``.
-    """
-
-    #: Amortisation: the size audit walks the blob tree, so it runs at
-    #: most once every this many writes (and on the first write).
-    PRUNE_EVERY = 16
-
-    def __init__(self, directory: str, version: Optional[str] = None,
-                 limit_mb: Optional[float] = None):
-        self.directory = directory
-        self.version = version if version else "unversioned"
-        self._write_failed = False
-        if limit_mb is None:
-            for knob in ("REPRO_SNAPSHOT_LIMIT_MB", "REPRO_CACHE_LIMIT_MB"):
-                env = os.environ.get(knob)
-                if not env:
-                    continue
-                try:
-                    limit_mb = float(env)
-                except ValueError:
-                    warnings.warn(
-                        f"{knob}={env!r} is not a number; ignoring it",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                break
-        self.limit_bytes = None if limit_mb is None else int(limit_mb * 1024 * 1024)
-        self._puts_since_prune: Optional[int] = None  # None = never audited
-
-    def _path(self, key: Tuple[str, str]) -> str:
-        digest = hashlib.sha256(
-            f"snapshot/{self.version}/{key[0]}/{key[1]}".encode("utf-8")
-        ).hexdigest()
-        return os.path.join(self.directory, digest[:2], f"{digest}.blob")
-
-    def get(self, key: Tuple[str, str]) -> Optional[bytes]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        if self.limit_bytes is not None:
-            try:
-                os.utime(path)  # LRU stamp: hits protect their blob
-            except OSError:
-                pass
-        return blob
-
-    def put(self, key: Tuple[str, str], blob: bytes) -> None:
-        path = self._path(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            if not self._write_failed:
-                self._write_failed = True
-                warnings.warn(
-                    f"snapshot store: disabled writes ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        faults.on_write("snapshot-store", path)
-        count = self._puts_since_prune
-        if count is None or count + 1 >= self.PRUNE_EVERY:
-            self.prune()
-            self._puts_since_prune = 0
-        else:
-            self._puts_since_prune = count + 1
-
-    def discard(self, key: Tuple[str, str]) -> None:
-        try:
-            os.remove(self._path(key))
-        except OSError:
-            pass
-
-    def prune(self) -> int:
-        """Evict oldest-access blobs until the store fits its size limit."""
-        if self.limit_bytes is None:
-            return 0
-        entries: List[Tuple[float, int, str]] = []
-        total = 0
-        try:
-            for dirpath, _, filenames in os.walk(self.directory):
-                for filename in filenames:
-                    if not filename.endswith(".blob"):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        info = os.stat(path)
-                    except OSError:
-                        continue
-                    entries.append((info.st_mtime, info.st_size, path))
-                    total += info.st_size
-        except OSError:
-            return 0
-        deleted = 0
-        if total > self.limit_bytes:
-            entries.sort()
-            for _, size, path in entries:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                total -= size
-                deleted += 1
-                if total <= self.limit_bytes:
-                    break
-        return deleted
-
-    def verify(self, delete: bool = True) -> Dict[str, int]:
-        """Scan the blob tree for corrupt blobs and stale tmp files.
-
-        A blob is *corrupt* when it does not unpickle — exactly the test a
-        consumer would apply — and is removed with ``delete`` (the default),
-        as are ``.tmp`` leftovers of crashed writers.  Returns
-        ``{"checked", "corrupt", "stale_tmp", "deleted"}`` counts; healthy
-        blobs are byte-untouched.
-        """
-        report = {"checked": 0, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
-
-        def remove(path: str) -> None:
-            if delete:
-                try:
-                    os.remove(path)
-                    report["deleted"] += 1
-                except OSError:
-                    pass
-
-        for dirpath, _, filenames in os.walk(self.directory):
-            for filename in filenames:
-                path = os.path.join(dirpath, filename)
-                if ".tmp" in filename:
-                    report["stale_tmp"] += 1
-                    remove(path)
-                    continue
-                if not filename.endswith(".blob"):
-                    continue
-                report["checked"] += 1
-                try:
-                    with open(path, "rb") as handle:
-                        pickle.loads(handle.read())
-                except Exception as exc:
-                    report["corrupt"] += 1
-                    warnings.warn(
-                        f"snapshot store: corrupt blob {path} ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    remove(path)
-        return report
-
-
-#: Process-global prewarm snapshot L1: (builder digest, trace digest) ->
-#: pickled functionally-prewarmed hierarchy.  Keyed by content digests, so
-#: sharing across sweeps and experiments is always sound; bounded FIFO so a
-#: long session cannot grow without limit.  Backed by the on-disk
-#: :class:`SnapshotStore` when a result cache is active.
-_SNAPSHOT_BLOBS: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
-_SNAPSHOT_CAP = 64
-
-#: Builders whose systems failed to pickle; they fall back to the direct
-#: build-and-prewarm path permanently (per process).  Holds the factory
-#: objects themselves (identity semantics) — keeping them alive on purpose,
-#: so a recycled id() can never misclassify an unrelated builder.
-_UNPICKLABLE_BUILDERS: set = set()
-
-
-def _trim_snapshot_l1() -> None:
-    while len(_SNAPSHOT_BLOBS) > _SNAPSHOT_CAP:
-        _SNAPSHOT_BLOBS.popitem(last=False)
-
-
-def _prewarmed_system(
-    builder: BuilderSpec,
-    trace: Trace,
-    snapshot_key: Optional[Tuple[str, str]],
-    local_blobs: Dict[Tuple[str, str], bytes],
-    stats: "ExecutionStats",
-    disk_store: Optional[SnapshotStore] = None,
-):
-    """A functionally-prewarmed system, cloned from a snapshot when possible.
-
-    The snapshot is taken right after ``prewarm`` — before any timed state
-    exists — so the blob preserves exactly the state a fresh
-    build-and-prewarm produces.  The job that *creates* a snapshot runs on
-    the pristine original (no unpickle); every later job of the same
-    (builder, trace) pair runs on an unpickled clone.  Clone-equals-fresh
-    is enforced by the differential tests in ``tests/test_plan.py``.
-
-    The lookup is tiered: in-process L1 (``_SNAPSHOT_BLOBS``) first, then
-    ``disk_store`` (the on-disk :class:`SnapshotStore`, digestable builders
-    only) — a disk hit counts in ``snapshot_disk_hits``, promotes the blob
-    into L1, and still runs on an unpickled clone; a build writes through
-    to both tiers.  A corrupt blob from either tier is discarded from
-    both, rebuilt fresh, and never trusted.
-    """
-    if snapshot_key is None or builder.factory in _UNPICKLABLE_BUILDERS:
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
-        return system
-    store = _SNAPSHOT_BLOBS if builder.digest() is not None else local_blobs
-    disk = disk_store if store is _SNAPSHOT_BLOBS else None
-    blob = store.get(snapshot_key)
-    from_disk = False
-    if blob is None and disk is not None:
-        blob = disk.get(snapshot_key)
-        from_disk = blob is not None
-    if blob is None:
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
-        try:
-            blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            _UNPICKLABLE_BUILDERS.add(builder.factory)
-            return system
-        blob = faults.mangle_blob(blob)
-        store[snapshot_key] = blob
-        if disk is not None:
-            disk.put(snapshot_key, blob)
-        stats.snapshot_builds += 1
-        if store is _SNAPSHOT_BLOBS:
-            _trim_snapshot_l1()
-        return system
-    try:
-        system = pickle.loads(blob)
-    except Exception as exc:
-        # A corrupt blob (bit rot, injected fault) degrades to the direct
-        # build-and-prewarm path and is replaced by a fresh snapshot —
-        # never trusted, never fatal.
-        store.pop(snapshot_key, None)
-        if disk is not None:
-            disk.discard(snapshot_key)
-        warnings.warn(
-            f"prewarm snapshot: discarding corrupt blob ({exc}); rebuilding",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        system = builder.factory()
-        system.prewarm(trace.resident_addresses())
-        try:
-            fresh = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-            store[snapshot_key] = fresh
-            if disk is not None:
-                disk.put(snapshot_key, fresh)
-            stats.snapshot_builds += 1
-        except (pickle.PicklingError, TypeError, AttributeError):
-            _UNPICKLABLE_BUILDERS.add(builder.factory)
-        return system
-    if from_disk:
-        stats.snapshot_disk_hits += 1
-        store[snapshot_key] = blob
-        if store is _SNAPSHOT_BLOBS:
-            _trim_snapshot_l1()
-    stats.snapshot_clones += 1
-    return system
+    def put(self, *args, **kwargs) -> None:
+        return None
 
 
 # ------------------------------------------------------------------- executor
@@ -1225,9 +957,7 @@ class ExecutionStats:
     the peak number of processes that actually executed jobs (1 when
     in-process), so reports show what really ran.  ``pool_reused`` counts
     worker acquisitions served by an already-warm persistent-pool worker
-    (instead of a fork); ``snapshot_disk_hits`` counts prewarm snapshots
-    served by the on-disk :class:`SnapshotStore` — redundant prewarm
-    across processes shows up as this number staying at zero.
+    (instead of a fork).
     """
 
     jobs: int = 0
@@ -1235,9 +965,6 @@ class ExecutionStats:
     cached: int = 0
     store_hits: int = 0
     inflight_hits: int = 0
-    snapshot_builds: int = 0
-    snapshot_clones: int = 0
-    snapshot_disk_hits: int = 0
     pool_loads: int = 0
     pool_saves: int = 0
     pool_reused: int = 0
@@ -1253,9 +980,6 @@ class ExecutionStats:
         self.cached += other.cached
         self.store_hits += other.store_hits
         self.inflight_hits += other.inflight_hits
-        self.snapshot_builds += other.snapshot_builds
-        self.snapshot_clones += other.snapshot_clones
-        self.snapshot_disk_hits += other.snapshot_disk_hits
         self.pool_loads += other.pool_loads
         self.pool_saves += other.pool_saves
         self.pool_reused += other.pool_reused
@@ -1270,12 +994,12 @@ class ExecutionStats:
         # existing "token=value " shapes and must keep matching.
         return (
             f"jobs={self.jobs} simulated={self.simulated} cached={self.cached} "
-            f"snapshot_clones={self.snapshot_clones} pool_loads={self.pool_loads} "
+            f"pool_loads={self.pool_loads} "
             f"workers_effective={self.workers_effective} retries={self.retries} "
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
             f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
-            f"pool_reused={self.pool_reused} snapshot_disk_hits={self.snapshot_disk_hits}"
+            f"pool_reused={self.pool_reused}"
         )
 
     def degraded(self) -> bool:
@@ -1500,24 +1224,18 @@ def _run_job(
     trace: Trace,
     labels: Tuple[str, str],
     core_config: Optional[CoreConfig],
-    snapshot_key: Optional[Tuple[str, str]],
-    local_blobs: Dict,
-    stats: ExecutionStats,
-    disk_store: Optional[SnapshotStore] = None,
 ) -> RunResult:
     """Simulate one job: the executor's only core construction.
 
     In-process jobs (:func:`execute`) and pool-worker jobs
     (:func:`_run_payload`) both run here; they differ only in where the
-    builder, trace, snapshot store and ``(workload, category)`` labels
-    come from.  Snapshot counters land in ``stats``.
+    builder, trace and ``(workload, category)`` labels come from.  Every
+    job builds its own hierarchy and prewarms it from the trace's resident
+    addresses.
     """
+    system = builder.factory()
     if job.prewarm:
-        system = _prewarmed_system(
-            builder, trace, snapshot_key, local_blobs, stats, disk_store
-        )
-    else:
-        system = builder.factory()
+        system.prewarm(trace.resident_addresses())
     core = OoOCore(trace, system, config=core_config)
     summary = simulate(core, mode=job.mode)
     workload, category = labels
@@ -1607,50 +1325,40 @@ def _payload_trace(payload: Dict[str, object], cache: "OrderedDict") -> Trace:
     return trace
 
 
-def _run_payload(
-    payload: Dict[str, object],
-    trace_cache: "OrderedDict",
-    store_cache: Dict[Tuple[str, str], SnapshotStore],
-) -> Tuple[RunResult, ExecutionStats]:
-    """Run one shipped job inside a pool worker; returns (result, stats).
-
-    The stats are this job's delta (snapshot builds, clones and disk
-    hits): per-worker state dies with the worker, so each reply carries
-    its own delta back for the supervisor to merge.
-    """
+def _run_payload(payload: Dict[str, object], trace_cache: "OrderedDict") -> RunResult:
+    """Run one shipped job inside a pool worker."""
     trace = _payload_trace(payload, trace_cache)
-    disk_store = None
-    if payload["snapshot_dir"]:
-        store_key = (payload["snapshot_dir"], payload["snapshot_version"])
-        disk_store = store_cache.get(store_key)
-        if disk_store is None:
-            disk_store = SnapshotStore(store_key[0], version=store_key[1])
-            store_cache[store_key] = disk_store
-    delta = ExecutionStats()
-    result = _run_job(
+    return _run_job(
         payload["job"], payload["builder"], trace, payload["labels"],
-        payload["core_config"], payload["snapshot_key"], {}, delta, disk_store,
+        payload["core_config"],
     )
-    return result, delta
 
 
-def _pool_worker(conn) -> None:
+def _pool_worker(conn, inherited_ends: List) -> None:
     """One persistent pool worker: receive a job payload, run it, reply.
 
     Jobs arrive as self-contained payload dicts (picklable builder spec,
-    trace reference, snapshot addressing, pre-matched fault action) — the
-    worker outlives the ``execute()`` call that forked it and serves any
-    later sweep, so nothing may depend on fork-time sweep state.  Replies
-    ``(index, RunResult | _JobError, ExecutionStats delta)``; no exception
-    escapes — the supervisor, not the worker, decides between retry and
-    quarantine.  Exits on a ``None`` sentinel or a broken pipe.
+    trace reference, pre-matched fault action) — the worker outlives the
+    ``execute()`` call that forked it and serves any later sweep, so
+    nothing may depend on fork-time sweep state.  Replies ``(index,
+    RunResult | _JobError, ExecutionStats delta)``; no exception escapes —
+    the supervisor, not the worker, decides between retry and quarantine.
+    Exits on a ``None`` sentinel, a broken pipe, or EOF: ``inherited_ends``
+    are the supervisor ends of every pool pipe (its own included) that
+    the fork copied into this process, and closing them first leaves the
+    supervisor the only holder of this worker's other end, so its death
+    reaches ``conn.recv`` as EOF.
     """
+    for end in inherited_ends:
+        try:
+            end.close()
+        except OSError:
+            pass  # closed by the supervisor as the fork happened
     # Fault plans are matched by the supervisor and shipped per job; a
     # plan inherited over fork must not also fire worker-side (its
     # counters would race the parent's).
     faults.install(None)
     trace_cache: "OrderedDict" = OrderedDict()
-    store_cache: Dict[Tuple[str, str], SnapshotStore] = {}
     while True:
         try:
             message = conn.recv()
@@ -1659,14 +1367,13 @@ def _pool_worker(conn) -> None:
         if message is None:
             return
         index = message["index"]
-        delta = ExecutionStats()
         payload: object
         try:
             action = faults.apply_worker_action(message.get("action"), message["label"])
             if action == "garbage":
                 payload = "\x00injected-garbage-payload"
             else:
-                payload, delta = _run_payload(message, trace_cache, store_cache)
+                payload = _run_payload(message, trace_cache)
         except Exception as exc:
             payload = _JobError(
                 type(exc).__name__,
@@ -1674,7 +1381,10 @@ def _pool_worker(conn) -> None:
                 isinstance(exc, (SimulationError, ConfigurationError)),
             )
         try:
-            conn.send((index, payload, delta))
+            # The third field is the job's stats delta, which the
+            # supervisor merges; no counter is kept worker-side, so it
+            # is empty.
+            conn.send((index, payload, ExecutionStats()))
         except (BrokenPipeError, OSError):
             return
 
@@ -1695,7 +1405,7 @@ class _WorkerPool:
 
     Workers are forked lazily on first demand, parked idle when a sweep's
     supervisor releases them, and handed — still warm, with their decoded
-    traces and snapshot L1 intact — to the next sweep that asks, whether
+    traces intact — to the next sweep that asks, whether
     that sweep runs in this thread or a concurrent service thread.  Jobs
     travel as self-contained payloads, so nothing here depends on
     fork-time sweep state and no fork lock serializes concurrent
@@ -1716,6 +1426,9 @@ class _WorkerPool:
     def __init__(self):
         self._lock = threading.Lock()
         self._idle: List[_PoolWorker] = []
+        #: Supervisor ends of every open pool pipe, idle or leased: each
+        #: fork copies them, and the new worker closes its copies.
+        self._ends: "weakref.WeakSet" = weakref.WeakSet()
         self._pid = os.getpid()
         self.size_override: Optional[int] = None
         self.max_jobs_override: Optional[int] = None
@@ -1781,9 +1494,11 @@ class _WorkerPool:
 
             ctx = multiprocessing.get_context("fork")
             parent_conn, child_conn = ctx.Pipe(duplex=True)
+            inherited = [end for end in self._ends if not end.closed]
+            inherited.append(parent_conn)
             try:
                 process = ctx.Process(
-                    target=_pool_worker, args=(child_conn,), daemon=True
+                    target=_pool_worker, args=(child_conn, inherited), daemon=True
                 )
                 process.start()
             except OSError:
@@ -1791,6 +1506,7 @@ class _WorkerPool:
                 child_conn.close()
                 raise
             child_conn.close()
+            self._ends.add(parent_conn)
             self.forked += 1
             return _PoolWorker(process, parent_conn)
 
@@ -2249,7 +1965,6 @@ def execute(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     pool: Optional[TracePool] = None,
-    snapshots: bool = True,
     trace_memo: bool = True,
     supervision: Optional[SupervisionPolicy] = None,
     on_result: Optional[Callable[[JobSpec, RunResult], None]] = None,
@@ -2274,12 +1989,6 @@ def execute(
             finish, and an interrupted sweep resumes from them.
         pool: trace pool; defaults to ``<cache dir>/traces`` when a cache
             is active, else in-memory synthesis.
-        snapshots: clone prewarmed hierarchies across jobs that share a
-            (builder, trace) pair; disable to force the direct
-            build-and-prewarm path per job.  With an active cache,
-            snapshots are additionally shared across processes through the
-            on-disk :class:`SnapshotStore` (``<cache dir>/snapshots``;
-            ``REPRO_NO_SNAPSHOT_STORE=1`` disables the disk tier).
         trace_memo: share immutable synthesized traces (and their cached
             decode / resident set / digest) across execute calls in this
             process; disable to force per-plan materialization.
@@ -2313,18 +2022,6 @@ def execute(
             active_store = None
     if pool is None and active_cache is not None:
         pool = TracePool(os.path.join(active_cache.directory, "traces"))
-
-    # On-disk snapshot tier: only with an active cache (the store lives
-    # next to it, and the same dirty/unknown version rule applies).
-    disk_store: Optional[SnapshotStore] = None
-    if (
-        snapshots
-        and active_cache is not None
-        and not os.environ.get("REPRO_NO_SNAPSHOT_STORE")
-    ):
-        disk_store = SnapshotStore(
-            os.path.join(active_cache.directory, "snapshots"), version=version
-        )
 
     progress = on_progress if on_progress is not None else _DEFAULT_PROGRESS
     total = len(plan.jobs)
@@ -2467,16 +2164,8 @@ def execute(
     completed_ok = False
     try:
         if pending:
-            snapshot_keys: Dict[JobSpec, Tuple[str, str]] = {}
-            local_blobs: Dict[Tuple[str, str], bytes] = {}
             for index, job, key in pending:
                 materialize(job.trace)  # pool files land before any dispatch
-                if snapshots and job.prewarm:
-                    builder_digest = plan.builders[job.builder].digest()
-                    snapshot_keys[job] = (
-                        builder_digest or f"adhoc:{job.builder}",
-                        content_digest(job.trace),
-                    )
             stats.simulated = len(owned)
 
             def run_here(job: JobSpec) -> RunResult:
@@ -2484,7 +2173,6 @@ def execute(
                 return _run_job(
                     job, plan.builders[job.builder], traces[job.trace],
                     (source.name, source.category), plan.core_config,
-                    snapshot_keys.get(job), local_blobs, stats, disk_store,
                 )
 
             def commit(index: int, job: JobSpec, key: Optional[str],
@@ -2584,13 +2272,6 @@ def execute(
                         "builder": plan.builders[job.builder],
                         "trace_ref": trace_ref(entry),
                         "core_config": plan.core_config,
-                        "snapshot_key": snapshot_keys.get(job),
-                        "snapshot_dir": (
-                            disk_store.directory if disk_store is not None else None
-                        ),
-                        "snapshot_version": (
-                            disk_store.version if disk_store is not None else None
-                        ),
                     }
 
                 executor = _SupervisedExecutor(

@@ -44,9 +44,8 @@ either loop.
 :func:`run_suite` compiles its sweep into a declarative
 :class:`~repro.sim.plan.RunPlan` and hands it to the shared plan executor
 (:func:`repro.sim.plan.execute`), which provides worker fan-out, the
-file-backed trace pool, prewarm-snapshot cloning, and the content-addressed
-result cache — every fast path bit-identical to the direct
-:func:`run_workload` path.
+file-backed trace pool, and the content-addressed result cache — every
+fast path bit-identical to the direct :func:`run_workload` path.
 """
 
 from __future__ import annotations
@@ -229,7 +228,6 @@ def run_suite(
     traces: Optional[Dict[str, Trace]] = None,
     cache=None,
     pool=None,
-    snapshots: bool = True,
     supervision=None,
     on_result: Optional[Callable] = None,
 ) -> List[RunResult]:
@@ -239,9 +237,8 @@ def run_suite(
     so all systems see the identical instruction stream (as the paper's
     SimPoints guarantee).  The sweep is compiled into a declarative
     :class:`~repro.sim.plan.RunPlan` and executed by
-    :func:`repro.sim.plan.execute`; all of its fast paths (trace pool,
-    prewarm snapshots, result cache) are bit-identical to calling
-    :func:`run_workload` per pair.
+    :func:`repro.sim.plan.execute`; its fast paths (trace pool, result
+    cache) are bit-identical to calling :func:`run_workload` per pair.
 
     Args:
         mode: scheduler mode passed to every simulation.
@@ -263,9 +260,6 @@ def run_suite(
             runs on disk; ``None`` (the default) simulates everything.
         pool: a :class:`~repro.sim.plan.TracePool` replaying traces from
             file-backed captures instead of re-synthesizing.
-        snapshots: clone functionally-prewarmed hierarchy state across
-            jobs sharing a (builder, trace) pair; ``False`` forces a fresh
-            build-and-prewarm per job (the direct path).
         supervision: a :class:`~repro.sim.plan.SupervisionPolicy` tuning
             the worker path's retry/timeout/quarantine behaviour; ``None``
             uses the defaults.  In non-strict mode a permanently failing
@@ -288,7 +282,7 @@ def run_suite(
         traces=traces,
     )
     run = plan_module.execute(
-        compiled, workers=workers, cache=cache, pool=pool, snapshots=snapshots,
+        compiled, workers=workers, cache=cache, pool=pool,
         supervision=supervision, on_result=on_result,
     )
     if run.failures:

@@ -6,7 +6,7 @@ a traced benchmark run (``e2e.py --trace 1``) raise.  This test runs the
 tracer end to end on a tiny Fig. 4 sweep, the way ``e2e.py`` starts it:
 a separate process running ``e2ebench/e2e_child.py`` with no ``REPRO_*``
 variable set.  The in-process tests pin the stand-ins that the removed
-span engines and schedule store left for it.
+span engines, schedule store and snapshot store left for it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 from repro.cpu.core import OoOCore
 from repro.scenarios import build_trace, scenario
-from repro.sim import schedstore
+from repro.sim import plan, schedstore
 from repro.sim.configs import build_conventional_hierarchy
 from repro.sim.runner import simulate
 
@@ -60,6 +60,15 @@ def test_schedule_store_stand_in_returns_zero(name):
     stand_in = getattr(schedstore, name)
     assert stand_in() == 0
     assert stand_in(object(), object(), "digest", "config") == 0
+
+
+@pytest.mark.parametrize("name", ["get", "put"])
+def test_snapshot_store_stand_in_returns_none(name):
+    # The tracer wraps these methods as it finds them in the class
+    # __dict__ and calls through with the old store's arguments.
+    method = plan.SnapshotStore.__dict__[name]
+    assert method(plan.SnapshotStore(), ("builder", "trace")) is None
+    assert method(plan.SnapshotStore(), ("builder", "trace"), b"blob") is None
 
 
 def test_engine_counters_read_zero_after_a_run():

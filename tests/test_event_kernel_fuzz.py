@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.cache.hierarchy import ConventionalHierarchy
+from repro.cache.request import MemoryRequest
 from repro.core.lnuca import LightNUCA
 from repro.dnuca.system import DNUCASystem
 from repro.scenarios import ScenarioSpec, build_trace
@@ -148,6 +149,28 @@ def _track_mshr_peaks(system) -> dict:
     return peaks
 
 
+def _track_core_requests(system) -> list:
+    """Record every request the core issues into ``system``."""
+    issued = []
+    issue = system.issue
+
+    def recorded(addr, access, cycle):
+        request = issue(addr, access, cycle)
+        issued.append(request)
+        return request
+
+    system.issue = recorded
+    return issued
+
+
+def _assert_each_request_completes_once(issued: list, completions: dict, context: str) -> None:
+    """Every core-issued request was completed exactly once and is done."""
+    for request in issued:
+        calls = completions.get(id(request), (request, 0))[1]
+        assert calls == 1, f"{context}: {request!r} completed {calls} times"
+        assert request.done, f"{context}: {request!r} not done at finalize"
+
+
 def _assert_model_invariants(system, mshr_peaks: dict, context: str) -> None:
     """Conservation and exclusion invariants of the model itself.
 
@@ -202,12 +225,30 @@ def _run_checked(system: str, spec, trace, mode: str, prewarm: bool = True):
 
     def builder():
         hierarchy = SYSTEMS[system]()
-        built.append((hierarchy, _track_mshr_peaks(hierarchy)))
+        built.append((hierarchy, _track_mshr_peaks(hierarchy), _track_core_requests(hierarchy)))
         return hierarchy
 
-    result = run_workload(builder, spec, _N, trace=trace, prewarm=prewarm, mode=mode)
-    hierarchy, peaks = built[0]
-    _assert_model_invariants(hierarchy, peaks, f"{system}/{spec.name} ({mode})")
+    # Completions of every request, core-issued or internal, keyed by id():
+    # each entry keeps its request alive, so a request the hierarchy drops
+    # cannot free its id for a later core request to reuse.
+    completions: dict = {}
+    complete = MemoryRequest.complete
+
+    def counted(request, cycle, level):
+        entry = completions.setdefault(id(request), [request, 0])
+        entry[1] += 1
+        complete(request, cycle, level)
+
+    MemoryRequest.complete = counted
+    try:
+        result = run_workload(builder, spec, _N, trace=trace, prewarm=prewarm, mode=mode)
+    finally:
+        MemoryRequest.complete = complete
+    hierarchy, peaks, issued = built[0]
+    context = f"{system}/{spec.name} ({mode})"
+    _assert_model_invariants(hierarchy, peaks, context)
+    assert issued, f"{context}: the core issued no request"
+    _assert_each_request_completes_once(issued, completions, context)
     return result
 
 

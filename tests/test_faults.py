@@ -194,14 +194,6 @@ class TestFileOps:
         faults.on_write("result-cache", path)
         assert open(path, "rb").read() == b"x" * 100
 
-    def test_mangle_blob(self):
-        blob = b"y" * 100
-        assert faults.mangle_blob(blob) == blob  # no plan
-        faults.install(FaultPlan(specs=[FaultSpec(site="snapshot-blob", op="corrupt")]))
-        mangled = faults.mangle_blob(blob)
-        assert mangled != blob
-        assert len(mangled) == len(blob)
-
 
 class TestSpawn:
     def test_spawn_error(self):
@@ -316,12 +308,6 @@ def _recycle_kill(tmp_path):
     assert faults.on_worker_recycle() is True
 
 
-def _blob_corrupt(tmp_path):
-    blob = b"y" * 100
-    mangled = faults.mangle_blob(blob)
-    assert mangled != blob and len(mangled) == len(blob)
-
-
 def _file_op(site, op, tmp_path):
     path = tmp_path / "entry"
     path.write_bytes(b"x" * 100)
@@ -345,9 +331,8 @@ ACTS = {
     ("commit", "exit"): _commit_exit,
     ("spawn", "error"): _spawn_error,
     ("worker-recycle", "kill"): _recycle_kill,
-    ("snapshot-blob", "corrupt"): _blob_corrupt,
 }
-for _site in ("result-cache", "trace-pool", "journal", "store", "snapshot-store"):
+for _site in ("result-cache", "trace-pool", "journal", "store"):
     for _op in ("corrupt", "truncate", "delete"):
         ACTS[(_site, _op)] = lambda tmp_path, site=_site, op=_op: _file_op(site, op, tmp_path)
 

@@ -1,22 +1,24 @@
 """Differential tests for the declarative run-plan layer.
 
-The contract of :mod:`repro.sim.plan`: every fast path — prewarm-snapshot
-cloning, file-backed trace-pool replay, the content-addressed result cache,
-worker fan-out — must be **bit-identical** (cycles, IPC, every activity and
-core counter) to the direct path (fresh build, per-job prewarm, per-job
-synthesis, sequential, uncached).  These tests enforce it across all four
-hierarchy types, warm and cold.
+The contract of :mod:`repro.sim.plan`: every fast path — file-backed
+trace-pool replay, the content-addressed result cache, worker fan-out —
+must be **bit-identical** (cycles, IPC, every activity and core counter)
+to the direct path (fresh build, per-job prewarm, per-job synthesis,
+sequential, uncached).  These tests enforce it across all four hierarchy
+types, warm and cold.
 """
 
 import json
 import os
+import threading
 import warnings
 
 import pytest
 
 from repro.cpu.workloads import workload_by_name
 from repro.scenarios import records_bytes, scenario
-from repro.sim import plan
+from repro.scenarios.tracefile import map_trace
+from repro.sim import faults, plan
 from repro.sim.configs import (
     BuilderSpec,
     build_conventional_hierarchy,
@@ -35,6 +37,8 @@ from repro.sim.plan import (
     trace_digest,
     trace_source_for,
 )
+from repro.sim.faults import FaultPlan, FaultSpec
+from repro.sim.memsys import MemorySystem
 from repro.sim.runner import run_suite, run_workload
 
 TINY = 1200
@@ -88,27 +92,22 @@ def _dummy_result(workload):
     )
 
 
-# ----------------------------------------------------------------- snapshots
+# ------------------------------------------------------------------ prewarm
 class TestSnapshotBitIdentity:
-    @pytest.fixture(autouse=True)
-    def _fresh_snapshot_store(self):
-        """The build/clone counters below assume a cold snapshot store."""
-        plan._SNAPSHOT_BLOBS.clear()
+    """Every job builds and prewarms its own hierarchy (prewarm snapshots
+    are gone), so a plan's warm and cold jobs equal ``run_workload``."""
 
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
     def test_snapshot_clone_matches_fresh_prewarm(self, name):
-        """Warm runs through the snapshot store equal direct run_workload."""
+        """Repeated warm jobs of one (builder, trace) pair each equal
+        direct run_workload: no state leaks from one job into the next."""
         spec = two_workloads()[0]
         builder = FOUR_HIERARCHIES[name]
         direct = run_workload(builder.factory, spec, TINY, prewarm=True)
         direct.system = name
-        # Three identical jobs: the first builds the snapshot and runs on
-        # the pristine original, the later two run on unpickled clones.
         compiled = compile_sweep({name: builder}, [spec], TINY)
         compiled.jobs = compiled.jobs * 3
         planned = execute(compiled)
-        assert planned.stats.snapshot_builds == 1
-        assert planned.stats.snapshot_clones == 2
         assert_identical([direct, direct, direct], planned.results)
 
     @pytest.mark.parametrize("name", sorted(FOUR_HIERARCHIES))
@@ -119,17 +118,28 @@ class TestSnapshotBitIdentity:
         direct = run_workload(builder.factory, spec, TINY, prewarm=False)
         direct.system = name
         planned = execute(compile_sweep({name: builder}, [spec], TINY, prewarm=False))
-        assert planned.stats.snapshot_clones == 0
         assert_identical([direct], planned.results)
 
-    def test_snapshots_disabled_is_the_direct_path(self):
-        specs = two_workloads()
-        fast = run_suite(FOUR_HIERARCHIES, specs, TINY)
-        direct = run_suite(FOUR_HIERARCHIES, specs, TINY, snapshots=False)
-        assert_identical(fast, direct)
+    def test_cold_cached_sweep_never_pickles_a_hierarchy(self, cache, monkeypatch):
+        """A cached sweep neither pickles a hierarchy nor writes a
+        ``snapshots/`` directory, whatever pickling a system would do."""
+        def refuse(self, protocol):
+            raise AssertionError(f"{type(self).__name__} pickled")
+
+        monkeypatch.setattr(MemorySystem, "__reduce_ex__", refuse, raising=False)
+        spec = two_workloads()[0]
+        planned = execute(compile_sweep(FOUR_HIERARCHIES, [spec], TINY), cache=cache)
+        assert planned.stats.simulated == len(FOUR_HIERARCHIES)
+        direct = []
+        for name, builder in FOUR_HIERARCHIES.items():
+            result = run_workload(builder.factory, spec, TINY)
+            result.system = name
+            direct.append(result)
+        assert_identical(direct, planned.results)
+        assert not os.path.exists(os.path.join(cache.directory, "snapshots"))
 
     def test_adhoc_lambda_builders_still_run(self):
-        """Plain callables (no digest) execute through per-plan snapshots."""
+        """Plain callables (no digest) execute; they only skip the cache."""
         builders = {"adhoc": build_conventional_hierarchy}
         assert BuilderSpec(key="adhoc", factory=build_conventional_hierarchy).digest() is None
         results = run_suite(builders, two_workloads()[:1], TINY)
@@ -177,6 +187,26 @@ class TestTracePool:
         run_suite(builders, specs, TINY, pool=pool)  # populates the pool
         pooled = run_suite(builders, specs, TINY, pool=pool)  # replays it
         assert_identical(unpooled, pooled)
+
+    @pytest.mark.parametrize("op", ["corrupt", "truncate", "delete"])
+    def test_damaged_entry_is_regenerated(self, tmp_path, op):
+        """A capture damaged after its save is rebuilt, never replayed (a
+        truncated one keeps a current header over cut records)."""
+        source = trace_source_for(scenario("kv-zipf-hot"), TINY)
+        synthesized = source.build()
+        pool = TracePool(str(tmp_path / "pool"))
+        stats = ExecutionStats()
+        try:
+            faults.install(FaultPlan(specs=[FaultSpec(site="trace-pool", op=op)]))
+            pool.fetch(source)
+            faults.install(FaultPlan())
+            regenerated = pool.fetch(source, stats)
+            healed = pool.fetch(source, stats)
+        finally:
+            faults.reset()
+        assert stats.pool_saves == 1 and stats.pool_loads == 1
+        assert records_bytes(regenerated) == records_bytes(synthesized)
+        assert records_bytes(healed) == records_bytes(synthesized)
 
     def test_same_name_workload_and_scenario_entries_coexist(self, tmp_path):
         """The spec2006 port reuses legacy workload names; the two sources
@@ -378,6 +408,69 @@ class TestResultCache:
         # without bound even though no one called prune() explicitly.
         total = sum(os.path.getsize(path) for path in self._entry_paths(cache))
         assert total <= 1048 + 1024  # budget plus at most a few fresh puts
+
+
+# ---------------------------------------------------------- concurrent writers
+class TestConcurrentWriters:
+    """Two threads of one process (a service's concurrent sweeps) saving
+    the same entry at once: both saves land, and the entry reads back."""
+
+    @staticmethod
+    def _both_write_then_replace(monkeypatch, save) -> list:
+        """Run ``save(thread_index)`` in two threads, holding each writer
+        between writing its tmp file and ``os.replace`` until both have
+        written; returns the warnings raised."""
+        barrier = threading.Barrier(2, timeout=30)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            barrier.wait()
+            return real_replace(src, dst)
+
+        errors = []
+
+        def run(index):
+            try:
+                save(index)
+            except Exception as exc:  # surfaced below, in the test thread
+                errors.append(exc)
+
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            patch.setattr(os, "replace", replace)
+            warnings.simplefilter("always")
+            threads = [threading.Thread(target=run, args=(index,)) for index in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        return [str(warning.message) for warning in caught]
+
+    def test_trace_pool_saves_of_one_entry_both_land(self, tmp_path, monkeypatch):
+        source = trace_source_for(scenario("kv-zipf-hot"), TINY)
+        trace = source.build()
+        pool = TracePool(str(tmp_path / "pool"))
+        stats = [ExecutionStats(), ExecutionStats()]
+        caught = self._both_write_then_replace(
+            monkeypatch, lambda index: pool.ensure(source, trace, stats[index])
+        )
+        assert caught == []
+        assert [part.pool_saves for part in stats] == [1, 1]
+        path = pool.path_for(source)
+        assert os.listdir(pool.directory) == [os.path.basename(path)]
+        assert records_bytes(map_trace(path)) == records_bytes(trace)
+
+    def test_result_cache_puts_of_one_entry_both_land(self, cache, monkeypatch):
+        key = "ab" * 32
+        result = _dummy_result("wl")
+        caught = self._both_write_then_replace(
+            monkeypatch, lambda index: cache.put(key, result)
+        )
+        assert caught == []
+        entry = cache._path(key)
+        assert os.listdir(os.path.dirname(entry)) == [os.path.basename(entry)]
+        assert result_tuple(cache.get(key)) == result_tuple(result)
 
 
 # ------------------------------------------------------------------ the plan

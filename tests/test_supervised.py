@@ -33,8 +33,10 @@ from repro.sim.plan import (
     ResultCache,
     SupervisionPolicy,
     SweepJournal,
+    TracePool,
     compile_sweep,
     execute,
+    shutdown_worker_pool,
 )
 from repro.sim.runner import run_suite
 
@@ -257,22 +259,6 @@ class TestDegradation:
 
 
 class TestCorruptionRecovery:
-    def test_corrupt_snapshot_blob_is_rebuilt(self):
-        # Two builders with the same spec share a snapshot (same digest):
-        # the first job stores the (corrupted) blob, the second detects
-        # the corruption on load and rebuilds from scratch.
-        builders = {"A-L2": conventional_spec(), "B-L2": conventional_spec()}
-        compiled = compile_sweep(builders, two_workloads()[:1], TINY)
-        plan._SNAPSHOT_BLOBS.clear()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        faults.install(FaultPlan(specs=[
-            FaultSpec(site="snapshot-blob", op="corrupt", nth=0),
-        ]))
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            run = execute(compiled)
-        assert_identical(run.results, reference)
-
     def test_corrupt_cache_entry_self_heals(self, cache):
         compiled = small_plan()
         reference = reference_results(compiled)
@@ -288,6 +274,26 @@ class TestCorruptionRecovery:
         assert_identical(second.results, reference)
         third = execute(compiled, cache=cache)
         assert third.stats.cached == len(compiled.jobs)  # healed
+
+    @pytest.mark.parametrize("op", ["corrupt", "truncate", "delete"])
+    def test_damaged_pool_file_falls_back_to_shipped_bytes(self, tmp_path, op):
+        # Workers map a job's trace from its pool file by path.  The
+        # supervisor writes the pool, so the fault damages the file there;
+        # a worker that cannot use it fails the job once, and the retry
+        # ships the record bytes inline.  A deleted file ships bytes at once.
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        shutdown_worker_pool()  # no worker keeps a decoded trace from before
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="trace-pool", op=op, nth=0),
+        ]))
+        pool = TracePool(str(tmp_path / "pool"))
+        run = execute(compiled, workers=2, pool=pool, trace_memo=False, supervision=FAST)
+        assert not run.failures
+        assert run.stats.pool_saves == len(two_workloads())
+        jobs_on_damaged_file = len(compiled.builders)
+        assert run.stats.retries == (0 if op == "delete" else jobs_on_damaged_file)
+        assert_identical(run.results, reference)
 
     def test_cache_verify_deletes_corrupt_entries(self, cache):
         compiled = small_plan()

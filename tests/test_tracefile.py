@@ -14,7 +14,7 @@ from repro.scenarios import (
     save_trace,
     scenario,
 )
-from repro.scenarios.tracefile import FORMAT_VERSION, MAGIC, RECORD_BYTES
+from repro.scenarios.tracefile import FORMAT_VERSION, MAGIC, RECORD_BYTES, map_trace
 
 
 @pytest.fixture
@@ -120,6 +120,17 @@ class TestMalformedFiles:
         path.write_bytes(blob[: len(blob) - RECORD_BYTES // 2])
         with pytest.raises(TraceFormatError, match="records"):
             load_trace(str(path))
+
+    def test_mapped_truncated_records(self, sample_trace, tmp_path, monkeypatch):
+        # The mmap path raises the same format error, not one from
+        # reading the mapping it has just closed.
+        monkeypatch.delenv("REPRO_NO_MMAP", raising=False)
+        path = tmp_path / "cut.lntr"
+        save_trace(sample_trace, str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - RECORD_BYTES // 2])
+        with pytest.raises(TraceFormatError, match="records"):
+            map_trace(str(path))
 
     def test_corrupt_metadata(self, tmp_path):
         path = tmp_path / "json.lntr"

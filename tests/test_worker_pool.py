@@ -1,15 +1,11 @@
 """Differential tests for the shared-state parallel execution substrate.
 
-Three layers, one contract — bit-identical to sequential by construction:
+Two layers, one contract — bit-identical to sequential by construction:
 
 * the **persistent worker pool**: workers outlive ``execute()`` calls,
   are reused across sweeps (and across concurrent sweeps from threads —
-  the old ``_FORK_LOCK`` is gone), and are recycled per supervision
-  policy without changing a single result;
-* the **on-disk snapshot blob store**: a prewarm snapshot built by any
-  process is consumed by any other with zero redundant prewarm
-  (``snapshot_disk_hits`` > 0, ``snapshot_builds`` == 0), and a corrupt
-  blob is discarded and rebuilt fresh;
+  the old ``_FORK_LOCK`` is gone), are recycled per supervision policy
+  without changing a single result, and exit when their supervisor dies;
 * the **mmap trace path**: a pooled ``.lntr`` capture replayed through
   ``mmap`` decodes to exactly the bytes, digest, and instructions of the
   eager loader (``REPRO_NO_MMAP=1`` fallback included).
@@ -18,11 +14,17 @@ Three layers, one contract — bit-identical to sequential by construction:
 import dataclasses
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
+from repro.scenarios import build_trace, scenario
 from repro.scenarios.tracefile import MappedTrace, load_trace, map_trace, records_bytes
 from repro.sim import faults, plan
 from repro.sim.configs import (
@@ -35,7 +37,6 @@ from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ExecutionStats,
     ResultCache,
-    SnapshotStore,
     SupervisionPolicy,
     TracePool,
     compile_sweep,
@@ -56,6 +57,8 @@ from tests.test_plan import (
 )
 
 FAST = SupervisionPolicy(backoff_base=0.01)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -96,16 +99,6 @@ def reference_results(compiled):
     run = execute(compiled)
     assert not run.failures
     return run.results
-
-
-def snapshot_blob_paths(cache):
-    root = os.path.join(cache.directory, "snapshots")
-    return sorted(
-        os.path.join(dirpath, name)
-        for dirpath, _, names in os.walk(root)
-        for name in names
-        if name.endswith(".blob")
-    )
 
 
 class TestPersistentPool:
@@ -218,16 +211,14 @@ class TestPersistentPool:
         assert "cached=0 " in text
         assert "simulated=0 " in text
         assert "retries=0 " in text
-        assert "pool_reused=0 " in text
-        assert text.endswith("snapshot_disk_hits=0")
+        assert text.endswith("pool_reused=0")
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
-        part = ExecutionStats(pool_reused=2, snapshot_disk_hits=3)
+        part = ExecutionStats(pool_reused=2)
         total.add(part)
         total.add(part)
         assert total.pool_reused == 4
-        assert total.snapshot_disk_hits == 6
 
     def test_add_merges_every_counter(self):
         # Each pool-worker reply carries its ExecutionStats delta, which
@@ -250,7 +241,6 @@ class TestPersistentPool:
             "idle", "forked", "reused", "recycled", "discarded",
         }
         assert payload["executor"]["pool_reused"] == 0
-        assert payload["executor"]["snapshot_disk_hits"] == 0
 
     def test_healthz_executor_fields(self):
         from repro.service.manager import SweepManager
@@ -258,8 +248,7 @@ class TestPersistentPool:
         payload = SweepManager().healthz()
         assert set(payload["executor"]) == {
             "jobs", "simulated", "cached", "store_hits", "inflight_hits",
-            "retries", "timeouts", "quarantined", "pool_reused",
-            "snapshot_disk_hits", "degraded",
+            "retries", "timeouts", "quarantined", "pool_reused", "degraded",
         }
 
     @pytest.mark.parametrize("prewarm", [True, False], ids=["warm", "cold"])
@@ -276,7 +265,6 @@ class TestPersistentPool:
         # Drop every warm tier a worker could inherit over fork.
         shutil.rmtree(os.path.join(cache.directory, "results"))
         plan._TRACE_MEMO.clear()
-        plan._SNAPSHOT_BLOBS.clear()
         shutdown_worker_pool()
         second = execute(compiled, workers=2, cache=cache, supervision=FAST)
         assert not second.failures
@@ -289,14 +277,8 @@ class TestOneJobRunner:
 
     ``_run_payload`` rebuilds a job's inputs from its shipped payload and
     hands them to ``_run_job``, as :func:`execute` does in-process: fed
-    the same job, both paths give the same result and the same stats.
+    the same job, both paths give the same result.
     """
-
-    @pytest.fixture(autouse=True)
-    def _fresh_l1(self):
-        plan._SNAPSHOT_BLOBS.clear()
-        yield
-        plan._SNAPSHOT_BLOBS.clear()
 
     @pytest.mark.parametrize("system", sorted(FOUR_HIERARCHIES))
     def test_payload_path_matches_in_process_path(self, system):
@@ -308,157 +290,145 @@ class TestOneJobRunner:
         trace = source.build()
         labels = (source.name, source.category)
         builder = compiled.builders[job.builder]
-        snapshot_key = (job.builder, job.trace)
 
-        local = ExecutionStats()
-        direct = plan._run_job(
-            job, builder, trace, labels, compiled.core_config, snapshot_key, {}, local
-        )
-        plan._SNAPSHOT_BLOBS.clear()  # the worker side builds its own snapshot
+        direct = plan._run_job(job, builder, trace, labels, compiled.core_config)
         payload = {
             "job": job,
             "builder": builder,
             "labels": labels,
             "trace_ref": ("bytes", trace.name, trace.category, records_bytes(trace)),
             "core_config": compiled.core_config,
-            "snapshot_key": snapshot_key,
-            "snapshot_dir": None,
-            "snapshot_version": None,
         }
-        shipped, delta = plan._run_payload(payload, OrderedDict(), {})
+        shipped = plan._run_payload(payload, OrderedDict())
         assert result_tuple(shipped) == result_tuple(direct)
-        assert delta == local
-        assert local.snapshot_builds == 1
+
+    def test_pool_file_ref_matches_shipped_bytes(self, tmp_path):
+        source = trace_source_for(two_workloads()[0], TINY)
+        pool = TracePool(str(tmp_path / "pool"))
+        trace = pool.fetch(source)
+        digest = trace_digest(trace)
+        path_ref = ("path", pool.path_for(source), digest, trace.name, trace.category)
+        bytes_ref = ("bytes", trace.name, trace.category, records_bytes(trace))
+        by_path = plan._payload_trace({"trace_ref": path_ref}, OrderedDict())
+        by_bytes = plan._payload_trace({"trace_ref": bytes_ref}, OrderedDict())
+        assert isinstance(by_path, MappedTrace)
+        assert records_bytes(by_path) == records_bytes(by_bytes) == records_bytes(trace)
+        assert trace_digest(by_path) == trace_digest(by_bytes) == digest
+
+    def test_rewritten_pool_file_fails_the_digest_check(self, tmp_path):
+        """A pool file replaced since the supervisor read it is refused, so
+        the supervisor retries the job with the record bytes shipped."""
+        first, other = (trace_source_for(spec, TINY) for spec in two_workloads())
+        pool = TracePool(str(tmp_path / "pool"))
+        trace = pool.fetch(first)
+        pool.fetch(other)
+        path = pool.path_for(first)
+        os.replace(pool.path_for(other), path)
+        ref = ("path", path, trace_digest(trace), trace.name, trace.category)
+        cache = OrderedDict()
+        with pytest.raises(plan._TraceTransportError, match="digest mismatch"):
+            plan._payload_trace({"trace_ref": ref}, cache)
+        assert not cache
+
+    def test_worker_trace_cache_evicts_the_least_recent(self):
+        cap = plan._WORKER_TRACE_CAP
+        refs = []
+        for index in range(cap + 1):
+            trace = build_trace(scenario("kv-zipf-hot"), 100 + index)
+            refs.append(("bytes", trace.name, trace.category, records_bytes(trace)))
+        cache = OrderedDict()
+        decoded = [plan._payload_trace({"trace_ref": ref}, cache) for ref in refs[:cap]]
+        assert plan._payload_trace({"trace_ref": refs[0]}, cache) is decoded[0]  # a hit
+        plan._payload_trace({"trace_ref": refs[cap]}, cache)  # evicts refs[1], not refs[0]
+        assert len(cache) == cap
+        assert plan._payload_trace({"trace_ref": refs[0]}, cache) is decoded[0]
+        assert plan._payload_trace({"trace_ref": refs[1]}, cache) is not decoded[1]
+        assert len(cache) == cap
 
 
-class TestSnapshotStoreSharing:
-    @pytest.fixture(autouse=True)
-    def _fresh_l1(self):
-        plan._SNAPSHOT_BLOBS.clear()
+def _exited(pid: int) -> bool:
+    """True when ``pid`` is gone or a zombie (nobody may reap an orphan)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
-    def test_fresh_workers_consume_blobs_with_zero_prewarm(self, cache):
-        """Process A prewarms; fresh worker processes only read disk."""
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        first = execute(compiled, cache=cache)
-        assert first.stats.snapshot_builds == len(compiled.jobs)
-        assert len(snapshot_blob_paths(cache)) == len(compiled.jobs)
-        # Drop every warm tier the workers could inherit: the result
-        # cache (so jobs re-simulate), the in-process L1 (forked workers
-        # would copy it), and any idle pool worker from the first run.
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        shutdown_worker_pool()
-        second = execute(compiled, workers=2, cache=cache, supervision=FAST)
-        assert not second.failures
-        assert second.stats.simulated == len(compiled.jobs)
-        assert second.stats.snapshot_builds == 0  # zero redundant prewarm
-        assert second.stats.snapshot_disk_hits == len(compiled.jobs)
-        assert_identical(second.results, reference)
 
-    def test_sequential_warm_run_hits_the_disk_tier(self, cache):
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        warm = execute(compiled, cache=cache)
-        assert warm.stats.snapshot_builds == 0
-        assert warm.stats.snapshot_disk_hits == len(compiled.jobs)
+def _fd_targets(pid: int) -> set:
+    directory = f"/proc/{pid}/fd"
+    targets = set()
+    for name in os.listdir(directory):
+        try:
+            targets.add(os.readlink(os.path.join(directory, name)))
+        except OSError:
+            pass  # closed while listing
+    return targets
 
-    def test_disabled_store_keeps_building(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SNAPSHOT_STORE", "1")
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        assert snapshot_blob_paths(cache) == []
 
-    def test_corrupt_disk_blob_is_discarded_and_rebuilt(self, cache):
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        execute(compiled, cache=cache)
-        blobs = snapshot_blob_paths(cache)
-        assert blobs
-        for path in blobs:
-            with open(path, "wb") as handle:
-                handle.write(b"\x00not a pickle")
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            rebuilt = execute(compiled, cache=cache)
-        assert rebuilt.stats.snapshot_builds == len(compiled.jobs)
-        assert_identical(rebuilt.results, reference)
-        # The rebuild wrote healthy blobs back through to disk.
-        report = SnapshotStore(os.path.join(cache.directory, "snapshots")).verify()
-        assert report["checked"] == len(blobs)
-        assert report["corrupt"] == 0
+#: A 2-worker sweep that prints its pool workers' PIDs and then dies
+#: without any shutdown, the way a killed ``repro serve`` dies.
+_DYING_SUPERVISOR = """
+import os, signal
+from repro.cpu.workloads import workload_by_name
+from repro.sim import plan
+from repro.sim.configs import conventional_spec, lnuca_l3_spec
 
-    def test_snapshot_store_fault_site_corrupts_then_recovers(self, cache):
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        plan._SNAPSHOT_BLOBS.clear()
-        faults.install(FaultPlan(specs=[
-            FaultSpec(site="snapshot-store", op="corrupt", nth=0),
-        ]))
-        execute(compiled, cache=cache)  # L1 absorbs the damage this run
-        shutil.rmtree(os.path.join(cache.directory, "results"))
-        plan._SNAPSHOT_BLOBS.clear()
-        faults.install(FaultPlan())
-        with pytest.warns(RuntimeWarning, match="discarding corrupt blob"):
-            recovered = execute(compiled, cache=cache)
-        assert not recovered.failures
-        assert_identical(recovered.results, reference)
+compiled = plan.compile_sweep(
+    {"L2-256KB": conventional_spec(), "LN2-72KB": lnuca_l3_spec(2)},
+    [workload_by_name("mcf-like")], 400,
+)
+run = plan.execute(compiled, workers=2)
+assert not run.failures and run.stats.workers_effective == 2
+print(" ".join(str(worker.process.pid) for worker in plan._POOL._idle), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
-    def test_verify_counts_corrupt_blobs_and_stale_tmp(self, cache):
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        blobs = snapshot_blob_paths(cache)
-        with open(blobs[0], "wb") as handle:
-            handle.write(b"garbage")
-        stale = blobs[1] + ".tmp123"
-        with open(stale, "w") as handle:
-            handle.write("leftover")
-        store = SnapshotStore(os.path.join(cache.directory, "snapshots"))
-        with pytest.warns(RuntimeWarning, match="corrupt blob"):
-            report = store.verify()
-        assert report["checked"] == len(blobs)
-        assert report["corrupt"] == 1
-        assert report["stale_tmp"] == 1
-        assert not os.path.exists(blobs[0])
-        assert not os.path.exists(stale)
-        assert os.path.exists(blobs[1])
 
-    def test_cache_verify_cli_covers_the_snapshot_store(
-        self, cache, monkeypatch, capsys
-    ):
-        from repro import cli
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+class TestWorkerDescriptors:
+    """What a forked pool worker keeps of its supervisor's descriptors."""
 
-        compiled = small_plan()
-        plan._SNAPSHOT_BLOBS.clear()
-        execute(compiled, cache=cache)
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache.directory)
-        assert cli.main(["cache", "verify"]) == 0
-        out = capsys.readouterr().out
-        assert "entries checked" in out
-        assert f"{len(compiled.jobs)} blobs checked" in out
+    def test_workers_exit_when_their_supervisor_is_killed(self, tmp_path):
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        # A file, not a pipe: orphaned workers would hold a pipe open.
+        log = tmp_path / "supervisor.log"
+        with open(log, "w") as out:
+            proc = subprocess.run(
+                [sys.executable, "-c", _DYING_SUPERVISOR],
+                stdout=out, stderr=subprocess.STDOUT, env=env, cwd=tmp_path, timeout=300,
+            )
+        output = log.read_text()
+        assert proc.returncode == -signal.SIGKILL, output
+        pids = [int(pid) for pid in output.strip().splitlines()[-1].split()]
+        assert len(pids) == 2, output
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not all(_exited(pid) for pid in pids):
+            time.sleep(0.1)
+        alive = [pid for pid in pids if not _exited(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)  # do not leak them past the test
+        assert alive == [], "pool workers outlived their killed supervisor"
 
-    def test_size_cap_prunes_oldest_blobs(self, cache):
-        store = SnapshotStore(
-            os.path.join(cache.directory, "snapshots"), limit_mb=0.001
+    def test_workers_do_not_hold_the_service_listening_socket(self, tmp_path):
+        from repro.service import SweepManager, create_server
+
+        server = create_server(
+            "127.0.0.1", 0, SweepManager(cache=ResultCache(str(tmp_path / "cache")))
         )
-        for index in range(4):
-            store.put(("builder", f"trace-{index}"), b"x" * 512)
-        # Puts amortize the audit (PRUNE_EVERY); force it to observe the cap.
-        assert store.prune() >= 1
-        total = sum(os.path.getsize(path) for path in snapshot_blob_paths(cache))
-        assert total <= store.limit_bytes
-
-    def test_version_partitions_the_store(self, cache):
-        a = SnapshotStore(os.path.join(cache.directory, "snapshots"), version="v1")
-        b = SnapshotStore(os.path.join(cache.directory, "snapshots"), version="v2")
-        a.put(("builder", "trace"), b"blob-for-v1")
-        assert b.get(("builder", "trace")) is None
-        assert a.get(("builder", "trace")) == b"blob-for-v1"
+        try:
+            listener = f"socket:[{os.fstat(server.fileno()).st_ino}]"
+            assert listener in _fd_targets(os.getpid())
+            run = execute(small_plan(), workers=2, supervision=FAST)
+            assert not run.failures
+            pids = [worker.process.pid for worker in plan._POOL._idle]
+            assert len(pids) == 2
+            for pid in pids:
+                assert listener not in _fd_targets(pid), f"worker {pid} holds the port"
+        finally:
+            server.server_close()
 
 
 class TestMappedTraces:
