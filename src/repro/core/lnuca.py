@@ -166,7 +166,7 @@ class LightNUCA(MemorySystem):
         self._waves: List[SearchWave] = []
         self._last_wave_cycle = -1
         self._backside_fills: List[Tuple[int, int, int, str]] = []  # heap
-        self._fill_seq = itertools.count()
+        self._fill_seq = 0  #: heap tie-break, post-incremented per push
         self._rtile_evictions: Deque[Tuple[int, bool]] = deque()
         #: Corner-tile victims waiting to leave for the backside, stamped
         #: with their arrival cycle.  Dense mode pops one per cycle; the
@@ -938,8 +938,9 @@ class LightNUCA(MemorySystem):
         ready = response.complete_cycle if response.complete_cycle is not None else cycle + 1
         level = response.service_level or self.backside.name
         heapq.heappush(
-            self._backside_fills, (ready, next(self._fill_seq), block_addr, level)
+            self._backside_fills, (ready, self._fill_seq, block_addr, level)
         )
+        self._fill_seq += 1
 
     # -- step 5: backside traffic ------------------------------------------------
     def _pump_drains(self, limit: int) -> int:

@@ -1662,6 +1662,10 @@ class _Worker:
 #: forking and degrades to in-process execution.
 _SPAWN_FAILURE_LIMIT = 3
 
+#: Wait between supervisor passes that no event bounds, such as the
+#: retries of a failed worker spawn.
+_RETRY_TICK_S = 0.05
+
 
 class _SupervisedExecutor:
     """Per-job dispatch with timeouts, retry/backoff, and quarantine.
@@ -1812,11 +1816,25 @@ class _SupervisedExecutor:
             worker.deadline = now + self.policy.timeout_for(entry.job.num_instructions)
         self.queue.extendleft(reversed(held))
 
-    def _wait_timeout(self, now: float) -> float:
+    def _wait_timeout(self, now: float, spawn_failed: bool) -> float:
+        """Seconds to block on the worker pipes before the next pass.
+
+        A reply or a pipe EOF ends the wait early; otherwise it lasts
+        until the earliest in-flight deadline.  A queued job shortens it
+        only while the supervisor could dispatch that job, i.e. a worker
+        idles or a worker slot is open: with every worker busy the
+        supervisor sleeps until one replies instead of polling.  A slot
+        left open by a failed spawn is retried every ``_RETRY_TICK_S``.
+        """
         horizons = [w.deadline for w in self.workers.values() if w.entry is not None]
-        horizons.extend(entry.ready_at for entry in self.queue)
+        # Fewer jobs in flight than slots: a worker idles or a slot is open.
+        if self.queue and len(horizons) < self.processes:
+            ready_at = min(entry.ready_at for entry in self.queue)
+            if spawn_failed:
+                ready_at = max(ready_at, now + _RETRY_TICK_S)
+            horizons.append(ready_at)
         if not horizons:
-            return 0.05
+            return _RETRY_TICK_S
         # Cap the sleep so replenish/dispatch stay live even when quiet.
         return min(max(min(horizons) - now, 0.0), 1.0)
 
@@ -1867,14 +1885,16 @@ class _SupervisedExecutor:
                     1 for worker in self.workers.values() if worker.entry is not None
                 )
                 want = min(self.processes, len(self.queue) + in_flight)
+                spawn_failed = False
                 while self._live() < want and not self._degraded:
                     if not self._spawn():
+                        spawn_failed = True
                         break
                 if self._degraded:
                     continue
                 now = time.monotonic()
                 self._dispatch(now)
-                timeout = self._wait_timeout(time.monotonic())
+                timeout = self._wait_timeout(time.monotonic(), spawn_failed)
                 if self.workers:
                     ready = mp_connection.wait(list(self.workers), timeout=timeout)
                 else:
@@ -1907,10 +1927,12 @@ class _SupervisedExecutor:
             message = worker.conn.recv()
         except (EOFError, OSError):
             worker.entry = None
-            exitcode = worker.process.exitcode
             self._reap(worker, kill=False)
             if entry is not None:
-                self._fail(entry, "crash", f"worker died (exit code {exitcode})")
+                # Read after the reap: its join settles the exit code.
+                self._fail(
+                    entry, "crash", f"worker died (exit code {worker.process.exitcode})"
+                )
             return
         worker.entry = None
         valid = (

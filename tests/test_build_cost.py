@@ -102,3 +102,12 @@ def test_finished_system_freed_without_cycle_collector(name, clone, small_trace)
         assert ref() is None, f"{name}: finished system kept alive by a reference cycle"
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["LN3-144KB", "LN4+DN-4x8"])
+def test_clone_pickles_no_iterator_state(name, small_trace):
+    """Python 3.14 cannot pickle ``itertools`` iterators: a clone holds none."""
+    system = BUILDERS[name].factory()
+    system.prewarm(small_trace.resident_addresses())
+    simulate(OoOCore(small_trace, system), mode="event")
+    assert b"itertools" not in pickle.dumps(system, pickle.HIGHEST_PROTOCOL)

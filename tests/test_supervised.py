@@ -12,11 +12,15 @@ Every disturbance is injected deterministically through
 not only when production infrastructure actually fails.
 """
 
+import math
 import multiprocessing
 import os
 import shutil
 import signal
+import threading
+import time
 import warnings
+from multiprocessing import connection as mp_connection
 
 import pytest
 
@@ -51,6 +55,11 @@ from tests.test_plan import (
 #: Fast retries for tests: near-zero backoff, no minutes-long defaults.
 FAST = SupervisionPolicy(backoff_base=0.01)
 
+#: Blocking waits one job may cost the supervisor: the pass its reply
+#: wakes, plus, when it is retried, the pass its crash's EOF wakes, the
+#: dead worker's join and the pass its backoff's expiry wakes.
+WAITS_PER_JOB = 3
+
 
 @pytest.fixture(autouse=True)
 def isolated_faults():
@@ -81,6 +90,31 @@ def reference_results(compiled):
     run = execute(compiled)
     assert not run.failures
     return run.results
+
+
+def count_waits(monkeypatch):
+    """Record every ``multiprocessing.connection.wait`` call.
+
+    The supervisor makes one per loop pass; joining a reaped worker
+    makes one too.  A busy-waiting supervisor makes thousands.
+    """
+    calls = []
+    real = mp_connection.wait
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp_connection, "wait", counting)
+    return calls
+
+
+def assert_few_waits(calls, jobs, wall, supervisors=1):
+    """A few waits per job, plus one a second per supervisor (the 1 s cap)."""
+    bound = WAITS_PER_JOB * jobs + supervisors * (math.ceil(wall) + 1)
+    assert len(calls) <= bound, (
+        f"{len(calls)} waits for {jobs} jobs in {wall:.2f} s: the supervisor polls"
+    )
 
 
 class TestRetryBitIdentity:
@@ -193,6 +227,20 @@ class TestQuarantine:
         assert run.stats.retries == 0
         assert run.stats.quarantined == 1
 
+    def test_crash_detail_names_the_exit_code(self):
+        """The exit code is read after the dead worker is joined, never None."""
+        compiled = four_hierarchy_plan()
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="worker-job", op="crash", nth=seq) for seq in (0, 3, 5)
+        ]))
+        policy = SupervisionPolicy(backoff_base=0.01, max_retries=1)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            run = execute(compiled, workers=2, supervision=policy)
+        assert len(run.failures) == 3
+        for failure in run.failures:
+            assert failure.reason == "crash"
+            assert f"exit code {faults.CRASH_EXIT_CODE}" in failure.detail
+
     def test_run_suite_excludes_quarantined_results(self):
         faults.install(FaultPlan(specs=[
             FaultSpec(site="worker-job", op="crash", nth=0),
@@ -255,6 +303,94 @@ class TestDegradation:
             run = execute(compiled, workers=2, supervision=FAST)
         assert not run.failures
         assert run.stats.workers_effective == 1
+        assert_identical(run.results, reference)
+
+
+class TestSupervisorWait:
+    """The supervisor blocks while its workers run: it never busy-waits."""
+
+    INSTRUCTIONS = 2_000
+
+    def overlapping_plan(self):
+        """Eight jobs long enough that both workers are busy at once."""
+        return compile_sweep(FOUR_HIERARCHIES, two_workloads(), self.INSTRUCTIONS)
+
+    def test_busy_workers_leave_the_supervisor_asleep(self, monkeypatch):
+        compiled = self.overlapping_plan()
+        reference = reference_results(compiled)
+        calls = count_waits(monkeypatch)
+        start = time.monotonic()
+        run = execute(compiled, workers=2)
+        wall = time.monotonic() - start
+        assert not run.failures
+        assert run.stats.workers_effective == 2
+        assert_few_waits(calls, len(compiled.jobs), wall)
+        assert_identical(run.results, reference)
+
+    def test_concurrent_sweeps_from_threads_stay_asleep(self, monkeypatch):
+        """Two supervisors in one process, as ``repro serve`` runs them."""
+        plans = [self.overlapping_plan(), self.overlapping_plan()]
+        reference = reference_results(plans[0])
+        calls = count_waits(monkeypatch)
+        runs = [None, None]
+
+        def sweep(slot):
+            runs[slot] = execute(plans[slot], workers=2)
+
+        threads = [threading.Thread(target=sweep, args=(slot,)) for slot in (0, 1)]
+        start = time.monotonic()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wall = time.monotonic() - start
+        jobs = sum(len(compiled.jobs) for compiled in plans)
+        assert_few_waits(calls, jobs, wall, supervisors=2)
+        for run in runs:
+            assert not run.failures
+            assert_identical(run.results, reference)
+
+    def test_backoff_expiry_dispatches_to_an_idle_worker(self, monkeypatch):
+        """A retry lands when its backoff ends, not at the 1 s wait cap."""
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        last = len(compiled.jobs) - 1  # dispatched last: a worker idles
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="worker-job", op="crash", nth=last, attempt=0),
+        ]))
+        dispatched = {}
+        real_action = faults.worker_job_action
+
+        def stamped(label, seq, attempt):
+            dispatched[seq, attempt] = time.monotonic()
+            return real_action(label, seq, attempt)
+
+        monkeypatch.setattr(faults, "worker_job_action", stamped)
+        calls = count_waits(monkeypatch)
+        policy = SupervisionPolicy(backoff_base=0.2)
+        start = time.monotonic()
+        run = execute(compiled, workers=2, supervision=policy)
+        wall = time.monotonic() - start
+        assert not run.failures
+        assert run.stats.retries == 1
+        gap = dispatched[last, 1] - dispatched[last, 0]
+        assert policy.backoff_base <= gap <= policy.backoff_base + 0.5
+        assert_few_waits(calls, len(compiled.jobs), wall)
+        assert_identical(run.results, reference)
+
+    def test_failed_spawn_is_retried_while_a_worker_is_busy(self, monkeypatch):
+        compiled = self.overlapping_plan()
+        reference = reference_results(compiled)
+        failed_spawn = FaultSpec(site="spawn", op="error", nth=1)  # the second worker
+        faults.install(FaultPlan(specs=[failed_spawn]))
+        calls = count_waits(monkeypatch)
+        start = time.monotonic()
+        run = execute(compiled, workers=2, supervision=FAST)
+        wall = time.monotonic() - start
+        assert failed_spawn.fired == 1
+        assert not run.failures
+        assert run.stats.workers_effective == 2
+        assert_few_waits(calls, len(compiled.jobs), wall)
         assert_identical(run.results, reference)
 
 
