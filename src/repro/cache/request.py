@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-_request_ids = itertools.count()
 
 
 class AccessType(enum.Enum):
@@ -48,7 +45,6 @@ class MemoryRequest:
     addr: int
     access: AccessType
     issue_cycle: int
-    req_id: int = field(default_factory=lambda: next(_request_ids))
     complete_cycle: Optional[int] = None
     service_level: Optional[str] = None
     transport_min_cycles: int = 0

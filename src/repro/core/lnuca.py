@@ -43,11 +43,10 @@ dense-mode cycles before anything can observe the fabric.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from collections import deque
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cache.cache import TimedCache
@@ -61,15 +60,12 @@ from repro.noc.buffer import FlowControlBuffer
 from repro.noc.message import Message, MessageKind
 from repro.sim.memsys import FINALIZE_GUARD_CYCLES, MemorySystem
 
-_wave_ids = itertools.count()
-
-
 @dataclass
 class SearchWave:
     """One miss request propagating outwards through the Search network."""
 
     block_addr: int
-    frontier: List[Coordinate]
+    frontier: Tuple[Coordinate, ...]
     next_cycle: int
     launched_cycle: int
     hit: bool = False
@@ -79,7 +75,6 @@ class SearchWave:
     #: while the wave is still on the canonical (no hit yet) expansion;
     #: ``None`` once a hit pruned the fan-out and the frontier is custom.
     level_index: Optional[int] = 0
-    wave_id: int = field(default_factory=lambda: next(_wave_ids))
 
 
 def _tile_content_change(
@@ -134,6 +129,7 @@ class LightNUCA(MemorySystem):
         #: Bound once: the deferred-drain guards probe this queue on every
         #: can_accept/issue/tick, so the attribute chain is pre-resolved.
         self._rtile_wb = self.rtile.write_buffer
+        self._rtile_mshr = self.rtile.mshr
         #: Scalars bound once for the per-load hot path (property + config
         #: attribute chases per access were measurable).
         self._rtile_completion = self.rtile.completion_cycles
@@ -189,20 +185,26 @@ class LightNUCA(MemorySystem):
             coord: self.geometry.manhattan_to_root(coord)
             for coord in self.geometry.tiles
         }
+        #: Search frontier memos.  A wave's next frontier is a pure
+        #: function of its current one (and of the tile that hit, which
+        #: stops fanning out), so each distinct expansion is computed once
+        #: per hierarchy (:meth:`_expand_frontier`) instead of tile by tile
+        #: on every wave step.
+        self._frontier_next: Dict[Tuple[Coordinate, ...], Tuple[Coordinate, ...]] = {}
+        self._frontier_pruned: Dict[
+            Tuple[Tuple[Coordinate, ...], Coordinate], Tuple[Coordinate, ...]
+        ] = {}
         #: Canonical search frontiers: the frontier a wave that has not hit
         #: yet presents at each step is a pure function of the geometry
         #: (every missing tile fans out to all its children), so the
         #: per-step tile lists — and the sets used for the O(1) hit
         #: membership test — are precomputed once.  Only a wave whose
-        #: fan-out was pruned by a hit falls back to a custom list.
+        #: fan-out was pruned by a hit leaves this table for the memos.
         frontiers: List[Tuple[tuple, frozenset]] = []
         frontier = tuple(self.search_net.children_of(ROOT))
         while frontier:
             frontiers.append((frontier, frozenset(frontier)))
-            nxt: List[Coordinate] = []
-            for coord in frontier:
-                nxt.extend(self.search_net.children_of(coord))
-            frontier = tuple(nxt)
+            frontier = self._expand_frontier(frontier, None)
         self._level_frontiers = frontiers
         #: Prefix sums of the canonical frontier widths (``prefix[i]`` =
         #: total tiles in levels ``0..i-1``) so a burst-replayed miss run
@@ -236,20 +238,24 @@ class LightNUCA(MemorySystem):
         #: their exact per-tile accounting (the hit tile is really probed).
         self._search_lookups_bulk = 0.0
         # The delivery order over the root D buffers is fixed once the
-        # networks are wired; precompute it so the hot delivery loop does
-        # not re-sort the dict keys every cycle.
-        self._root_d_items = [
-            (source, self.root_d_buffers[source])
-            for source in sorted(self.root_d_buffers)
-        ]
+        # networks are wired; precompute it (as the buffers' message
+        # queues) so the hot delivery loop and the busy scans neither
+        # re-sort the dict keys nor dispatch per buffer.
+        self._root_d_queues = tuple(
+            self.root_d_buffers[source]._entries for source in sorted(self.root_d_buffers)
+        )
 
     # ------------------------------------------------------------------ interface
     def can_accept(self, cycle: int, access: AccessType) -> bool:
         if self._corner_evictions or self._rtile_wb._queue:
             self._pump_drains(cycle)
+        if not self.rtile.port_available(cycle):
+            return False
         if access is AccessType.STORE:
-            return self.rtile.port_available(cycle) and self.rtile.write_buffer.can_accept()
-        return self.rtile.port_available(cycle) and not self.rtile.mshr.is_full()
+            wb = self._rtile_wb
+            return len(wb._queue) < wb.num_entries
+        mshr = self._rtile_mshr
+        return len(mshr._entries) < mshr.num_entries
 
     def issue(self, addr: int, access: AccessType, cycle: int) -> MemoryRequest:
         if self._corner_evictions or self._rtile_wb._queue:
@@ -272,7 +278,7 @@ class LightNUCA(MemorySystem):
             or self._transport_active
             or self._replacement_active
             or not self.rtile.write_buffer.is_empty()
-            or self._root_buffers_busy()
+            or any(self._root_d_queues)
             or self.backside.busy()
         )
 
@@ -306,7 +312,7 @@ class LightNUCA(MemorySystem):
             self._rtile_evictions
             or self._transport_active
             or self._replacement_active
-            or self._root_buffers_busy()
+            or any(self._root_d_queues)
         ):
             best = cycle + 1
         else:
@@ -337,7 +343,7 @@ class LightNUCA(MemorySystem):
             or self._rtile_evictions
             or self._transport_active
             or self._replacement_active
-            or self._root_buffers_busy()
+            or any(self._root_d_queues)
         )
 
     def finalize(self, cycle: int) -> int:
@@ -378,7 +384,7 @@ class LightNUCA(MemorySystem):
             parts.append(f"replacement active at {len(self._replacement_active)} tile(s)")
         if not self.rtile.write_buffer.is_empty():
             parts.append(f"r-tile wb:{self.rtile.write_buffer.occupancy}")
-        if self._root_buffers_busy():
+        if any(self._root_d_queues):
             parts.append("root D buffers occupied")
         if self.backside.busy():
             parts.append(f"backside: {self.backside.pending_work()}")
@@ -478,41 +484,45 @@ class LightNUCA(MemorySystem):
         pending_drains = bool(self._corner_evictions or self._rtile_wb._queue)
         if pending_drains:
             self._pump_drains(cycle)  # replay drains deferred across skipped cycles
+        # Each step runs only when it has work, checked where the step
+        # would run, after everything earlier in the tick.  The root
+        # buffers are scanned once, here: the wave catch-up that runs
+        # before the deliveries cannot fill them.
+        root_busy = any(self._root_d_queues)
+        waves = self._waves
+        fills = self._backside_fills
         if (
-            self._waves
-            or self._backside_fills
+            waves
+            or fills
             or self._rtile_evictions
             or self._transport_active
             or self._replacement_active
-            or self._root_buffers_busy()
+            or root_busy
         ):
-            if self._waves:
+            if waves:
                 # Replay any wave steps the scheduler leapt over before the
                 # frontiers become observable (replacement conflict sets,
                 # the decisive probe itself).
                 self._catch_up_waves(cycle)
-            self._deliver_to_rtile(cycle)
-            self._advance_transport(cycle)
+            if root_busy or (fills and fills[0][0] <= cycle):
+                self._deliver_to_rtile(cycle)
+            if self._transport_active:
+                self._advance_transport(cycle)
             if self._replacement_active:
                 # The search/replacement conflict set is only needed when a
                 # replacement sweep will actually run, and nothing before
                 # this point mutates the wave frontiers.
-                searching = self._tiles_searching_at(cycle) if self._waves else set()
+                searching = self._tiles_searching_at(cycle) if waves else set()
                 self._advance_replacement(cycle, searching)
-            self._advance_search(cycle)
-            self._inject_rtile_evictions(cycle)
+            if waves:
+                self._advance_search(cycle)
+            if self._rtile_evictions:
+                self._inject_rtile_evictions(cycle)
         if pending_drains or self._corner_evictions or self._rtile_wb._queue:
             self._pump_drains(cycle + 1)  # this cycle's write-buffer/corner drains
         self.backside.tick(cycle)
 
     # -- helpers -------------------------------------------------------------
-    def _root_buffers_busy(self) -> bool:
-        """Whether any root D buffer holds a message (hot, allocation-free)."""
-        for _, buffer in self._root_d_items:
-            if buffer._entries:
-                return True
-        return False
-
     def _tiles_searching_at(self, cycle: int) -> set:
         searching: set = set()
         for wave in self._waves:
@@ -526,10 +536,9 @@ class LightNUCA(MemorySystem):
         ports = self.config.rtile_fill_ports
         counters = self.stats._counters
         # Transport arrivals first (they are the latency-critical path).
-        for source, buffer in self._root_d_items:
+        for entries in self._root_d_queues:
             if delivered >= ports:
                 break
-            entries = buffer._entries
             if not entries:
                 continue
             message = entries.popleft()
@@ -542,11 +551,12 @@ class LightNUCA(MemorySystem):
             level = self.geometry.level_of[message.source]
             self._complete_waiters(message.block_addr, cycle, f"Le{level}")
             self._refill_rtile(message.block_addr, cycle, message.dirty)
-        while delivered < ports and self._backside_fills:
-            ready, _, block_addr, level = self._backside_fills[0]
+        fills = self._backside_fills
+        while delivered < ports and fills:
+            ready, _, block_addr, level = fills[0]
             if ready > cycle:
                 break
-            heapq.heappop(self._backside_fills)
+            heapq.heappop(fills)
             delivered += 1
             self._complete_waiters(block_addr, cycle, level)
             self._refill_rtile(block_addr, cycle, dirty=False)
@@ -571,9 +581,13 @@ class LightNUCA(MemorySystem):
 
     # -- step 2: transport network ---------------------------------------------
     def _advance_transport(self, cycle: int) -> None:
-        if not self._transport_active:
+        active = self._transport_active
+        if len(active) > 1:
+            active = sorted(active, key=self._distance_of.__getitem__)
+        elif active:
+            active = tuple(active)
+        else:
             return
-        active = sorted(self._transport_active, key=self._distance_of.__getitem__)
         for coord in active:
             tile = self.tiles[coord]
             moved_everything = True
@@ -607,13 +621,13 @@ class LightNUCA(MemorySystem):
 
     # -- step 3: replacement network ---------------------------------------------
     def _advance_replacement(self, cycle: int, searching: set) -> None:
-        if not self._replacement_active:
+        active = self._replacement_active
+        if len(active) > 1:
+            active = sorted(active, key=self._distance_of.__getitem__, reverse=True)
+        elif active:
+            active = tuple(active)
+        else:
             return
-        active = sorted(
-            self._replacement_active,
-            key=self._distance_of.__getitem__,
-            reverse=True,
-        )
         corner_tiles = self.geometry.corner_tiles
         counters = self.stats._counters
         for coord in active:
@@ -738,8 +752,8 @@ class LightNUCA(MemorySystem):
         record, and the wave's frontier advance — replayed here, before
         anything else in the tick can observe a stale frontier.  Canonical
         (no-hit-yet) waves replay in O(1) off the precomputed frontier
-        width prefix sums; pruned post-hit frontiers re-expand tile by
-        tile, which is still cheap next to the machine cycles skipped.
+        width prefix sums; pruned post-hit frontiers step through the
+        frontier memo.
         """
         tile_contents = self._tile_contents
         u_contents = self._u_contents
@@ -768,7 +782,7 @@ class LightNUCA(MemorySystem):
                 wave.next_cycle = cycle
                 continue
             block_addr = wave.block_addr
-            children_of = self.search_net.children_of
+            frontier_next = self._frontier_next
             while wave.next_cycle < cycle:
                 frontier = wave.frontier
                 loc = tile_contents.get(block_addr)
@@ -781,9 +795,9 @@ class LightNUCA(MemorySystem):
                         f"window"
                     )
                 self._search_lookups_bulk += len(frontier)
-                next_frontier: List[Coordinate] = []
-                for coord in frontier:
-                    next_frontier.extend(children_of(coord))
+                next_frontier = frontier_next.get(frontier)
+                if next_frontier is None:
+                    next_frontier = self._expand_frontier(frontier, None)
                 self.search_net.record_broadcast(len(next_frontier))
                 wave.frontier = next_frontier
                 wave.next_cycle += 1
@@ -795,16 +809,17 @@ class LightNUCA(MemorySystem):
         block" in O(1), so a wave step only *probes* the hit tile (whose
         probe has observable effects: hit counters, the LRU touch, the
         extraction); every other frontier tile just accounts the tag
-        lookup its dense probe would have performed.  The frontier itself
-        still advances tile by tile — its width drives the search-network
-        broadcast energy and the search/replacement conflict sets — and a
-        frontier that contains the hit tile twice (two parents fanning
-        into it) re-counts the second probe as the post-extraction miss it
-        would dense-mode be.
+        lookup its dense probe would have performed.  The next frontier —
+        its width drives the search-network broadcast energy and the
+        search/replacement conflict sets — comes from the frontier memos
+        (see :meth:`_expand_frontier`), and a frontier that contains the
+        hit tile twice (two parents fanning into it) re-counts the second
+        probe as the post-extraction miss it would dense-mode be.
         """
         finished: List[SearchWave] = []
         tiles = self.tiles
-        children_of = self.search_net.children_of
+        frontier_next = self._frontier_next
+        frontier_pruned = self._frontier_pruned
         tile_contents = self._tile_contents
         u_contents = self._u_contents
         level_frontiers = self._level_frontiers
@@ -852,21 +867,18 @@ class LightNUCA(MemorySystem):
                     if loc is not None and loc in frontier:
                         hit_coord = loc
                         via_u = True
-            next_frontier: List[Coordinate] = []
-            extend_frontier = next_frontier.extend
             if hit_coord is None:
                 self._search_lookups_bulk += len(frontier)
-                for coord in frontier:
-                    extend_frontier(children_of(coord))
+                next_frontier = frontier_next.get(frontier)
+                if next_frontier is None:
+                    next_frontier = self._expand_frontier(frontier, None)
             else:
                 wave.level_index = None  # the hit prunes the canonical fan-out
-                unhandled = True
-                for coord in frontier:
-                    if unhandled and coord == hit_coord:
-                        unhandled = False  # handled below; no fan-out
-                        continue
-                    self._search_lookups_bulk += 1.0
-                    extend_frontier(children_of(coord))
+                # Every tile but the hit one is a probe that missed.
+                self._search_lookups_bulk += len(frontier) - 1
+                next_frontier = frontier_pruned.get((frontier, hit_coord))
+                if next_frontier is None:
+                    next_frontier = self._expand_frontier(frontier, hit_coord)
                 tile = tiles[hit_coord]
                 if via_u:
                     tile.stats._counters["search_lookups"] += 1.0
@@ -916,6 +928,31 @@ class LightNUCA(MemorySystem):
                     self._handle_global_miss(wave, cycle)
         for wave in finished:
             self._waves.remove(wave)
+
+    def _expand_frontier(
+        self, frontier: Tuple[Coordinate, ...], hit_coord: Optional[Coordinate]
+    ) -> Tuple[Coordinate, ...]:
+        """Compute and memoize the frontier that follows ``frontier``.
+
+        Every tile fans the search out to its children, except the first
+        occurrence of ``hit_coord`` (the tile that hit stops there).
+        Without a hit the result lands in ``_frontier_next``, with one in
+        ``_frontier_pruned``; the wave steps look these up first.
+        """
+        children_of = self.search_net.children_of
+        expanded: List[Coordinate] = []
+        unhandled = hit_coord is not None
+        for coord in frontier:
+            if unhandled and coord == hit_coord:
+                unhandled = False
+                continue
+            expanded.extend(children_of(coord))
+        result = tuple(expanded)
+        if hit_coord is None:
+            self._frontier_next[frontier] = result
+        else:
+            self._frontier_pruned[(frontier, hit_coord)] = result
+        return result
 
     def _handle_global_miss(self, wave: SearchWave, cycle: int) -> None:
         entry = self.rtile.mshr.get(wave.block_addr)

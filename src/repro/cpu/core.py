@@ -42,10 +42,11 @@ hierarchies.
 
 Instruction-bound spans — runs of cycles in which the core does work every
 cycle — are not skipped but *batched*: :meth:`OoOCore.run_batch` executes
-the whole busy span in one Python-level pass (stage methods bound once,
-the memory system ticked only at its declared events, the trace decoded
-into flat arrays up front) instead of paying one scheduler round-trip per
-cycle.  Batching is dense-equivalent by construction: it runs real ticks,
+the whole busy span in one Python-level loop (the pipeline stages inline,
+their state in locals for the whole batch, the memory system ticked only
+at its declared events, the trace decoded into flat arrays up front)
+instead of paying one scheduler round-trip per cycle; :meth:`OoOCore.tick`
+is one pass of the same loop.  Batching is dense-equivalent by construction: it runs real ticks,
 so it never has to predict the span length to stay bit-identical.
 """
 
@@ -149,12 +150,6 @@ class OoOCore:
             self.config.fp_window,
             self.config.mem_window,
         ]
-        #: Flags maintained by the per-cycle stages for run_batch: whether
-        #: the last tick changed any state ("progress") and whether it
-        #: issued into the memory system ("touched", which invalidates the
-        #: cached next-event cycle).
-        self._progress = False
-        self._mem_touched = False
         self._lsq_count = 0
         self._outstanding_loads: List[Tuple[int, MemoryRequest]] = []
         self._store_buffer: List[MemoryRequest] = []
@@ -240,14 +235,12 @@ class OoOCore:
 
     # ------------------------------------------------------------------ per-cycle
     def tick(self, cycle: int) -> None:
-        if self._outstanding_loads or self._store_buffer or self._pending_stores:
-            self._harvest_memory(cycle)
-        if self._rob:
-            self._commit(cycle)
-        ready = self._ready
-        if ready[_MEM] or ready[_INT] or ready[_FP]:
-            self._issue(cycle)
-        self._fetch(cycle)
+        """Advance the core by exactly one cycle (no memory-system tick).
+
+        One pass of the stage loop that :meth:`run_batch` repeats; the
+        dense loops tick the memory system themselves and own ``self.cycle``.
+        """
+        self._stage_loop(cycle, cycle, False)
 
     # ------------------------------------------------------------------ batching
     def run_batch(self, cycle: int, limit: int) -> int:
@@ -256,8 +249,8 @@ class OoOCore:
         This is the event scheduler's instruction-bound fast path: instead
         of paying one scheduler round-trip (tick dispatch, wakeup
         recomputation, unconditional memory-system tick) per cycle, the
-        whole busy span runs in one Python-level pass with the stage
-        methods bound once.  Two refinements over plain dense stepping:
+        whole busy span runs in one Python-level pass of the stage loop.
+        Two refinements over plain dense stepping:
 
         * the memory system is only ticked on cycles it declares through
           :meth:`~repro.sim.memsys.MemorySystem.next_event_cycle` (or after
@@ -275,53 +268,294 @@ class OoOCore:
         shared :meth:`limit_exceeded` error before simulating any cycle
         beyond ``limit``.
         """
+        return self._stage_loop(cycle, limit, True)
+
+    def _stage_loop(self, cycle: int, limit: int, batch: bool) -> int:
+        """The core's pipeline stages, one loop iteration per cycle.
+
+        Each iteration is one dense tick: harvest memory responses, commit,
+        issue (memory and integer operations share one bandwidth, floating
+        point has its own), then fetch.  The stage state lives in locals
+        for the whole call and is written back once on exit; the memory
+        system is only ticked (on its declared events) and the loop only
+        repeats when ``batch`` is set.  Returns the last cycle ticked.
+        """
         memsys = self.memsys
-        mem_tick = memsys.tick
-        mem_next_of = memsys.next_event_cycle
-        mem_next = mem_next_of(cycle - 1)
-        harvest = self._harvest_memory
-        commit = self._commit
-        issue_from = self._issue_from
-        fetch = self._fetch
-        ready = self._ready
-        ready_int, ready_fp, ready_mem = ready
+        can_accept = memsys.can_accept
+        mem_issue = memsys.issue
+        if batch:
+            mem_tick = memsys.tick
+            mem_next_of = memsys.next_event_cycle
+            mem_next = mem_next_of(cycle - 1)
+        counters = self.stats._counters
+        announce = self._announce_completion
+        ready_heaps = self._ready
+        ready_int, ready_fp, ready_mem = ready_heaps
+        windows_in_issue_order = ((_MEM, ready_mem), (_INT, ready_int), (_FP, ready_fp))
         rob = self._rob
+        rob_popleft = rob.popleft
+        rob_append = rob.append
         pending_stores = self._pending_stores
+        complete = self._complete_cycle
+        waiters = self._waiters
+        pending_ready = self._pending_ready
+        unresolved_of = self._unresolved
+        kinds = self._kinds
+        addrs = self._addrs
+        classes = self._issue_class
+        lat = self._issue_lat
+        windows = self._windows
+        is_mem = self._is_mem
+        prod1s = self._prod1s
+        prod2s = self._prod2s
+        window_count = self._window_count
+        window_limit = self._window_limit
         trace_len = self._trace_len
+        fetch_width = self._fetch_width
+        commit_width = self._commit_width
         int_mem_width = self._int_mem_issue_width
         fp_width = self._fp_issue_width
-        while True:
-            if cycle > limit:
-                self.cycle = cycle
-                raise self.limit_exceeded(limit)
-            self._progress = False
-            self._mem_touched = False
-            # Inlined tick(cycle), including _issue's bandwidth split:
-            if self._outstanding_loads or self._store_buffer or pending_stores:
-                harvest(cycle)
+        rob_size = self._rob_size
+        lsq_size = self._lsq_size
+        store_buffer_size = self._store_buffer_size
+        mispredict_penalty = self._mispredict_penalty
+        branch_latency = self._branch_latency
+        load = AccessType.LOAD
+        store = AccessType.STORE
+        # Stage state, written back below.
+        next_fetch = self._next_fetch
+        lsq = self._lsq_count
+        committed = self.committed
+        stall_until = self._fetch_stall_until
+        unresolved_branch = self._unresolved_branch
+        outstanding = self._outstanding_loads
+        store_buffer = self._store_buffer
+        while cycle <= limit:
+            progress = False
+            touched = False
+
+            # -- memory responses
+            if outstanding:
+                for _, request in outstanding:
+                    done = request.complete_cycle
+                    if done is not None and done <= cycle:
+                        break
+                else:
+                    done = None
+                if done is not None:
+                    progress = True
+                    still_waiting = []
+                    for idx, request in outstanding:
+                        done = request.complete_cycle
+                        if done is not None and done <= cycle:
+                            announce(idx, done)
+                            lsq -= 1
+                        else:
+                            still_waiting.append((idx, request))
+                    outstanding = still_waiting
+            if store_buffer:
+                for request in store_buffer:
+                    done = request.complete_cycle
+                    if done is not None and done <= cycle:
+                        store_buffer = [
+                            r
+                            for r in store_buffer
+                            if r.complete_cycle is None or r.complete_cycle > cycle
+                        ]
+                        progress = True
+                        break
+            while pending_stores and can_accept(cycle, store):
+                store_buffer.append(mem_issue(addrs[pending_stores.popleft()], store, cycle))
+                progress = True
+                touched = True
+
+            # -- commit
             if rob:
-                commit(cycle)
+                retired = 0
+                while rob and retired < commit_width:
+                    idx = rob[0]
+                    done = complete[idx]
+                    if done is None or done > cycle:
+                        break
+                    if kinds[idx] == _KIND_STORE:
+                        if len(store_buffer) + len(pending_stores) >= store_buffer_size:
+                            counters["store_buffer_stall_cycles"] += 1.0
+                            break
+                        if can_accept(cycle, store):
+                            store_buffer.append(mem_issue(addrs[idx], store, cycle))
+                            touched = True
+                        else:
+                            pending_stores.append(idx)
+                        lsq -= 1
+                        counters["stores_committed"] += 1.0
+                    rob_popleft()
+                    retired += 1
+                if retired:
+                    committed += retired
+                    progress = True
+
+            # -- issue
             if ready_mem or ready_int or ready_fp:
                 int_mem_budget = int_mem_width
-                if ready_mem:
-                    int_mem_budget -= issue_from(_MEM, cycle, int_mem_budget)
-                if ready_int and int_mem_budget > 0:
-                    issue_from(_INT, cycle, int_mem_budget)
-                if ready_fp:
-                    issue_from(_FP, cycle, fp_width)
-            fetch(cycle)
-            if self._mem_touched or (mem_next is not None and mem_next <= cycle):
+                for window, heap in windows_in_issue_order:
+                    if not heap:
+                        continue
+                    if window == _FP:
+                        budget = fp_width
+                    elif int_mem_budget > 0:
+                        budget = int_mem_budget
+                    else:
+                        continue
+                    if heap[0][0] > cycle:
+                        continue
+                    issued = 0
+                    deferred = None
+                    while heap and issued < budget:
+                        ready_cycle, idx = heap[0]
+                        if ready_cycle > cycle:
+                            break
+                        heappop(heap)
+                        cls = classes[idx]
+                        if cls == ISSUE_SIMPLE:
+                            # Integer/FP ALU, store address generation,
+                            # correctly predicted branches: complete after
+                            # the precomputed per-instruction latency.
+                            when = cycle + lat[idx]
+                            if waiters[idx] is None:
+                                complete[idx] = when
+                            else:
+                                announce(idx, when)
+                        elif cls == ISSUE_LOAD:
+                            if not can_accept(cycle, load):
+                                if deferred is None:
+                                    deferred = []
+                                deferred.append((cycle + 1, idx))
+                                counters["load_issue_retries"] += 1.0
+                                continue
+                            request = mem_issue(addrs[idx], load, cycle)
+                            touched = True
+                            counters["loads_issued"] += 1.0
+                            done = request.complete_cycle
+                            if done is not None:
+                                # Announce fast path when no consumer waits.
+                                if waiters[idx] is None:
+                                    complete[idx] = done
+                                else:
+                                    announce(idx, done)
+                                lsq -= 1
+                            else:
+                                outstanding.append((idx, request))
+                        else:  # ISSUE_MISPREDICT: a mispredicted branch
+                            resolve = cycle + branch_latency
+                            if waiters[idx] is None:
+                                complete[idx] = resolve
+                            else:
+                                announce(idx, resolve)
+                            counters["branch_mispredictions"] += 1.0
+                            redirect = resolve + mispredict_penalty
+                            if redirect > stall_until:
+                                stall_until = redirect
+                            if unresolved_branch == idx:
+                                unresolved_branch = None
+                        issued += 1
+                    if issued:
+                        window_count[window] -= issued
+                        progress = True
+                        if window != _FP:
+                            int_mem_budget -= issued
+                    if deferred:
+                        for item in deferred:
+                            heappush(heap, item)
+
+            # -- fetch / dispatch
+            if cycle < stall_until or unresolved_branch is not None:
+                counters["fetch_stall_cycles"] += 1.0
+            elif next_fetch < trace_len:
+                fetched = 0
+                while fetched < fetch_width and next_fetch < trace_len and len(rob) < rob_size:
+                    idx = next_fetch
+                    window = windows[idx]
+                    if window_count[window] >= window_limit[window]:
+                        counters["window_full_stalls"] += 1.0
+                        break
+                    is_memory = is_mem[idx]
+                    if is_memory and lsq >= lsq_size:
+                        counters["lsq_full_stalls"] += 1.0
+                        break
+                    rob_append(idx)
+                    window_count[window] += 1
+                    if is_memory:
+                        lsq += 1
+                    # Dependence dispatch.  Producer indices are precomputed
+                    # by the decode (-1 = no in-range producer).
+                    unresolved = 0
+                    ready = cycle + 1
+                    producer = prod1s[idx]
+                    if producer >= 0:
+                        known = complete[producer]
+                        if known is not None:
+                            if known > ready:
+                                ready = known
+                        else:
+                            unresolved += 1
+                            consumers = waiters[producer]
+                            if consumers is None:
+                                waiters[producer] = [idx]
+                            else:
+                                consumers.append(idx)
+                    producer = prod2s[idx]
+                    if producer >= 0:
+                        known = complete[producer]
+                        if known is not None:
+                            if known > ready:
+                                ready = known
+                        else:
+                            unresolved += 1
+                            consumers = waiters[producer]
+                            if consumers is None:
+                                waiters[producer] = [idx]
+                            else:
+                                consumers.append(idx)
+                    pending_ready[idx] = ready
+                    unresolved_of[idx] = unresolved
+                    if unresolved == 0:
+                        heappush(ready_heaps[window], (ready, idx))
+                    next_fetch += 1
+                    fetched += 1
+                    if classes[idx] == ISSUE_MISPREDICT:
+                        # Stop fetching down the wrong path until it resolves.
+                        unresolved_branch = idx
+                        break
+                if fetched:
+                    progress = True
+                if next_fetch < trace_len and len(rob) >= rob_size:
+                    counters["rob_full_stalls"] += 1.0
+
+            if not batch:
+                break
+            if touched or (mem_next is not None and mem_next <= cycle):
                 mem_tick(cycle)
                 mem_next = mem_next_of(cycle)
-            if not self._progress or (
-                self._next_fetch >= trace_len
+            if not progress or (
+                next_fetch >= trace_len
                 and not rob
                 and not pending_stores
-                and not self._store_buffer
+                and not store_buffer
             ):
                 break
             cycle += 1
-        self.cycle = cycle + 1
+        self._next_fetch = next_fetch
+        self._lsq_count = lsq
+        self.committed = committed
+        self._fetch_stall_until = stall_until
+        self._unresolved_branch = unresolved_branch
+        self._outstanding_loads = outstanding
+        self._store_buffer = store_buffer
+        if cycle > limit:
+            self.cycle = cycle
+            raise self.limit_exceeded(limit)
+        if batch:
+            self.cycle = cycle + 1
         return cycle
 
     # ------------------------------------------------------------------ wakeup
@@ -401,7 +635,7 @@ class OoOCore:
         return [request for _, request in self._outstanding_loads if not request.done]
 
     def _fetch_blocked(self) -> bool:
-        """Whether :meth:`_fetch` would stall without fetching anything.
+        """Whether the fetch stage would stall without fetching anything.
 
         Mirrors the structural checks at the top of the fetch loop; assumes
         the caller already ruled out redirects and an exhausted trace.
@@ -443,166 +677,7 @@ class OoOCore:
         if self._is_mem[idx] and self._lsq_count >= self._lsq_size:
             self.stats.incr("lsq_full_stalls", count)
 
-    # -- memory responses -------------------------------------------------------
-    def _harvest_memory(self, cycle: int) -> None:
-        outstanding = self._outstanding_loads
-        if outstanding:
-            harvest = False
-            for _, request in outstanding:
-                done = request.complete_cycle
-                if done is not None and done <= cycle:
-                    harvest = True
-                    break
-            if harvest:
-                self._progress = True
-                still_waiting = []
-                for idx, request in outstanding:
-                    done = request.complete_cycle
-                    if done is not None and done <= cycle:
-                        self._announce_completion(idx, done)
-                        self._lsq_count -= 1
-                    else:
-                        still_waiting.append((idx, request))
-                self._outstanding_loads = still_waiting
-        buffered = self._store_buffer
-        if buffered:
-            for request in buffered:
-                done = request.complete_cycle
-                if done is not None and done <= cycle:
-                    self._store_buffer = [
-                        r
-                        for r in buffered
-                        if r.complete_cycle is None or r.complete_cycle > cycle
-                    ]
-                    self._progress = True
-                    break
-        while self._pending_stores and self.memsys.can_accept(cycle, AccessType.STORE):
-            idx = self._pending_stores.popleft()
-            request = self.memsys.issue(self._addrs[idx], AccessType.STORE, cycle)
-            self._store_buffer.append(request)
-            self._progress = True
-            self._mem_touched = True
-
-    # -- commit ----------------------------------------------------------------
-    def _commit(self, cycle: int) -> None:
-        rob = self._rob
-        if not rob:
-            return
-        committed = 0
-        complete = self._complete_cycle
-        kinds = self._kinds
-        popleft = rob.popleft
-        commit_width = self._commit_width
-        lsq = self._lsq_count
-        while rob and committed < commit_width:
-            idx = rob[0]
-            done = complete[idx]
-            if done is None or done > cycle:
-                break
-            if kinds[idx] == _KIND_STORE:
-                in_flight = len(self._store_buffer) + len(self._pending_stores)
-                if in_flight >= self._store_buffer_size:
-                    self.stats.incr("store_buffer_stall_cycles")
-                    break
-                if self.memsys.can_accept(cycle, AccessType.STORE):
-                    request = self.memsys.issue(self._addrs[idx], AccessType.STORE, cycle)
-                    self._store_buffer.append(request)
-                    self._mem_touched = True
-                else:
-                    self._pending_stores.append(idx)
-                lsq -= 1
-                self.stats._counters["stores_committed"] += 1.0
-            popleft()
-            committed += 1
-        if committed:
-            # Stage state lives in locals for the loop and is written back
-            # once per call, as in run_batch.
-            self.committed += committed
-            self._lsq_count = lsq
-            self._progress = True
-
-    # -- issue -----------------------------------------------------------------
-    def _issue(self, cycle: int) -> None:
-        ready = self._ready
-        int_mem_budget = self._int_mem_issue_width
-        # Memory and integer operations share the same issue bandwidth.
-        if ready[_MEM]:
-            int_mem_budget -= self._issue_from(_MEM, cycle, int_mem_budget)
-        if ready[_INT] and int_mem_budget > 0:
-            self._issue_from(_INT, cycle, int_mem_budget)
-        if ready[_FP]:
-            self._issue_from(_FP, cycle, self._fp_issue_width)
-
-    def _issue_from(self, window: int, cycle: int, budget: int) -> int:
-        heap = self._ready[window]
-        if heap[0][0] > cycle:
-            return 0
-        issued = 0
-        deferred: Optional[List[Tuple[int, int]]] = None
-        classes = self._issue_class
-        lat = self._issue_lat
-        memsys = self.memsys
-        # Direct counter access: one dict add beats a method call in the
-        # per-issued-instruction path (bit-identical counters either way).
-        counters = self.stats._counters
-        complete = self._complete_cycle
-        waiters = self._waiters
-        while heap and issued < budget:
-            ready_cycle, idx = heap[0]
-            if ready_cycle > cycle:
-                break
-            heappop(heap)
-            cls = classes[idx]
-            if cls == ISSUE_SIMPLE:
-                # Integer/FP ALU, store address generation, correctly
-                # predicted branches: complete after the precomputed
-                # per-instruction latency, nothing else to do.
-                when = cycle + lat[idx]
-                if waiters[idx] is None:
-                    complete[idx] = when
-                else:
-                    self._announce_completion(idx, when)
-            elif cls == ISSUE_LOAD:
-                if not memsys.can_accept(cycle, AccessType.LOAD):
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((cycle + 1, idx))
-                    counters["load_issue_retries"] += 1.0
-                    continue
-                request = memsys.issue(self._addrs[idx], AccessType.LOAD, cycle)
-                self._mem_touched = True
-                counters["loads_issued"] += 1.0
-                done = request.complete_cycle
-                if done is not None:
-                    # Announce fast path: no consumer waits on this load.
-                    if waiters[idx] is None:
-                        complete[idx] = done
-                    else:
-                        self._announce_completion(idx, done)
-                    self._lsq_count -= 1
-                else:
-                    self._outstanding_loads.append((idx, request))
-            else:  # ISSUE_MISPREDICT: a branch the front end mispredicted
-                resolve = cycle + self._branch_latency
-                if waiters[idx] is None:
-                    complete[idx] = resolve
-                else:
-                    self._announce_completion(idx, resolve)
-                counters["branch_mispredictions"] += 1.0
-                redirect = resolve + self._mispredict_penalty
-                if redirect > self._fetch_stall_until:
-                    self._fetch_stall_until = redirect
-                if self._unresolved_branch == idx:
-                    self._unresolved_branch = None
-            self._window_count[window] -= 1
-            issued += 1
-        if issued:
-            self._progress = True
-        if deferred:
-            for item in deferred:
-                heappush(heap, item)
-        return issued
-
+    # -- completion broadcast ---------------------------------------------------
     def _announce_completion(self, idx: int, when: int) -> None:
         self._complete_cycle[idx] = when
         waiters = self._waiters
@@ -621,99 +696,3 @@ class OoOCore:
             unresolved[consumer] = left
             if left == 0:
                 heappush(ready[windows[consumer]], (pending[consumer], consumer))
-
-    # -- fetch / dispatch ---------------------------------------------------------
-    def _fetch(self, cycle: int) -> None:
-        if cycle < self._fetch_stall_until or self._unresolved_branch is not None:
-            self.stats._counters["fetch_stall_cycles"] += 1.0
-            return
-        trace_len = self._trace_len
-        next_fetch = self._next_fetch
-        if next_fetch >= trace_len:
-            return  # drained tail: nothing to fetch, no stall to account
-        fetched = 0
-        fetch_width = self._fetch_width
-        lsq = self._lsq_count
-        lsq_size = self._lsq_size
-        rob = self._rob
-        rob_size = self._rob_size
-        windows = self._windows
-        is_mem = self._is_mem
-        window_count = self._window_count
-        window_limit = self._window_limit
-        prod1s = self._prod1s
-        prod2s = self._prod2s
-        classes = self._issue_class
-        complete = self._complete_cycle
-        waiters = self._waiters
-        pending_ready = self._pending_ready
-        unresolved_of = self._unresolved
-        ready_heaps = self._ready
-        while (
-            fetched < fetch_width
-            and next_fetch < trace_len
-            and len(rob) < rob_size
-        ):
-            idx = next_fetch
-            window = windows[idx]
-            if window_count[window] >= window_limit[window]:
-                self.stats.incr("window_full_stalls")
-                break
-            is_memory = is_mem[idx]
-            if is_memory and lsq >= lsq_size:
-                self.stats.incr("lsq_full_stalls")
-                break
-
-            rob.append(idx)
-            window_count[window] += 1
-            if is_memory:
-                lsq += 1
-            # Dependence dispatch, inlined (one call per fetched instruction
-            # was measurable).  Producer indices are precomputed by the
-            # decode (-1 = no in-range producer).
-            unresolved = 0
-            ready = cycle + 1
-            producer = prod1s[idx]
-            if producer >= 0:
-                known = complete[producer]
-                if known is not None:
-                    if known > ready:
-                        ready = known
-                else:
-                    unresolved += 1
-                    consumers = waiters[producer]
-                    if consumers is None:
-                        waiters[producer] = [idx]
-                    else:
-                        consumers.append(idx)
-            producer = prod2s[idx]
-            if producer >= 0:
-                known = complete[producer]
-                if known is not None:
-                    if known > ready:
-                        ready = known
-                else:
-                    unresolved += 1
-                    consumers = waiters[producer]
-                    if consumers is None:
-                        waiters[producer] = [idx]
-                    else:
-                        consumers.append(idx)
-            pending_ready[idx] = ready
-            unresolved_of[idx] = unresolved
-            if unresolved == 0:
-                heappush(ready_heaps[window], (ready, idx))
-            next_fetch += 1
-            fetched += 1
-            if classes[idx] == ISSUE_MISPREDICT:
-                # Stop fetching down the wrong path until the branch resolves.
-                self._unresolved_branch = idx
-                break
-        if fetched:
-            # Stage state lives in locals for the loop and is written back
-            # once per call, as in run_batch.
-            self._next_fetch = next_fetch
-            self._lsq_count = lsq
-            self._progress = True
-        if next_fetch < trace_len and len(rob) >= rob_size:
-            self.stats.incr("rob_full_stalls")

@@ -236,20 +236,26 @@ class DNUCACache:
                 dirty_victims.append(second_victim.block_addr)
         return dirty_victims
 
-    def promote_functional(self, addr: int) -> Optional[int]:
+    def promote_functional(
+        self, addr: int, row_of: Optional[Dict[int, int]] = None
+    ) -> Optional[int]:
         """Move the block one row closer without any timing (warm-up helper).
 
         Returns the new row, or ``None`` when the block is not resident.
         Used by :meth:`repro.dnuca.system.DNUCASystem.prewarm` to reproduce
         the migration state a long warm-up run would have produced.
+        ``row_of`` maps every block resident in the banks to its row (see
+        :meth:`resident_rows`; built here when not given), and this call
+        keeps it current, so a stream of calls can share one map.
         """
+        if row_of is None:
+            row_of = self.resident_rows()
         block = self.block_addr(addr)
-        rows = self._bankset_rows[self.bankset_of(block)]
-        for row, (_, bank) in enumerate(rows):
-            if bank.contains(block):
-                break
-        else:
+        row = row_of.get(block)
+        if row is None:
             return None
+        rows = self._bankset_rows[self.bankset_of(block)]
+        bank = rows[row][1]
         if not self.config.promotion or row == 0:
             bank.lookup(block, update_lru=True)
             return row
@@ -258,8 +264,23 @@ class DNUCACache:
         dirty = moving.dirty if moving is not None else False
         _, displaced = closer.fill(block, dirty=dirty)
         if displaced is not None:
+            # Same set geometry in every bank: the displaced block takes
+            # the way the promoted one freed, so this fill never evicts.
             bank.fill(displaced.block_addr, dirty=displaced.dirty)
+            row_of[displaced.block_addr] = row
+        row_of[block] = row - 1
         return row - 1
+
+    def resident_rows(self) -> Dict[int, int]:
+        """Map every block resident in the banks to its row (0 = closest)."""
+        row_of: Dict[int, int] = {}
+        for rows in self._bankset_rows:
+            # Closest row last: a block found in two rows maps to the
+            # closer one, as a closest-first probe would find it.
+            for row in range(len(rows) - 1, -1, -1):
+                for blk in rows[row][1].resident_blocks():
+                    row_of[blk.block_addr] = row
+        return row_of
 
     # ------------------------------------------------------------------ queries
     def contains(self, addr: int) -> Optional[Coordinate]:

@@ -218,16 +218,24 @@ class DNUCASystem(MemorySystem):
         warm-up: frequently used blocks sit in the rows closest to the
         controller, newly inserted ones in the insertion row.
         """
-        cfg = self.dnuca.config
+        dnuca = self.dnuca
+        cfg = dnuca.config
         tail_row = cfg.rows - 1 if cfg.insertion_row == "tail" else 0
         l1_touch = self.l1.array.touch_or_fill if self.l1 is not None else None
+        # One block -> row map, kept current through the whole stream,
+        # replaces probing every row of the block's bankset per address.
+        row_of = dnuca.resident_rows()
+        promote = dnuca.promote_functional
         for addr in addresses:
             if l1_touch is not None:
                 l1_touch(addr)
-            block = self.dnuca.block_addr(addr)
-            if self.dnuca.promote_functional(block) is None:
-                column = self.dnuca.bankset_of(block)
-                self.dnuca.banks[self.dnuca.bank_coord(column, tail_row)].fill(block)
+            block = dnuca.block_addr(addr)
+            if promote(block, row_of) is None:
+                column = dnuca.bankset_of(block)
+                _, victim = dnuca.banks[dnuca.bank_coord(column, tail_row)].fill(block)
+                row_of[block] = tail_row
+                if victim is not None:
+                    del row_of[victim.block_addr]
 
     # ------------------------------------------------------------------ reporting
     def activity(self) -> Dict[str, float]:

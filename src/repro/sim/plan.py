@@ -2122,49 +2122,54 @@ def execute(
         if active_store is not None:
             active_store.put(key, result, meta=metas[index])
 
+    def serve_stored(index: int, job: JobSpec, key: str) -> bool:
+        """Serve one job from the cache, the journal or the store, if any holds it."""
+        if active_cache is not None:
+            hit = active_cache.get(key)
+            if hit is not None:
+                hit.system = job.system
+                results[index] = hit
+                stats.cached += 1
+                # The store converges on everything the cache knows.
+                store_put(index, key, hit)
+                if on_result is not None:
+                    on_result(job, hit)
+                note_done()
+                return True
+            row = journal_rows.get(key)
+            if row is not None:
+                # An interrupted sweep checkpointed this job; restore it
+                # and repair the cache entry the crash (or pruning) lost.
+                restored = _result_from_row(row)
+                restored.system = job.system
+                results[index] = restored
+                stats.resumed_from_journal += 1
+                active_cache.put(key, restored, meta=metas[index])
+                store_put(index, key, restored)
+                if on_result is not None:
+                    on_result(job, restored)
+                note_done()
+                return True
+        if active_store is not None:
+            hit = active_store.get(key)
+            if hit is not None:
+                hit.system = job.system
+                results[index] = hit
+                stats.store_hits += 1
+                if active_cache is not None:
+                    # Repair the faster tier so the next run is one open().
+                    active_cache.put(key, hit, meta=metas[index])
+                if on_result is not None:
+                    on_result(job, hit)
+                note_done()
+                return True
+        return False
+
     pending: List[Tuple[int, JobSpec, Optional[str]]] = []
     for index, job in enumerate(plan.jobs):
         key = keys[index]
-        if key is not None:
-            if active_cache is not None:
-                hit = active_cache.get(key)
-                if hit is not None:
-                    hit.system = job.system
-                    results[index] = hit
-                    stats.cached += 1
-                    # The store converges on everything the cache knows.
-                    store_put(index, key, hit)
-                    if on_result is not None:
-                        on_result(job, hit)
-                    note_done()
-                    continue
-                row = journal_rows.get(key)
-                if row is not None:
-                    # An interrupted sweep checkpointed this job; restore it
-                    # and repair the cache entry the crash (or pruning) lost.
-                    restored = _result_from_row(row)
-                    restored.system = job.system
-                    results[index] = restored
-                    stats.resumed_from_journal += 1
-                    active_cache.put(key, restored, meta=metas[index])
-                    store_put(index, key, restored)
-                    if on_result is not None:
-                        on_result(job, restored)
-                    note_done()
-                    continue
-            if active_store is not None:
-                hit = active_store.get(key)
-                if hit is not None:
-                    hit.system = job.system
-                    results[index] = hit
-                    stats.store_hits += 1
-                    if active_cache is not None:
-                        # Repair the faster tier so the next run is one open().
-                        active_cache.put(key, hit, meta=metas[index])
-                    if on_result is not None:
-                        on_result(job, hit)
-                    note_done()
-                    continue
+        if key is not None and serve_stored(index, job, key):
+            continue
         pending.append((index, job, key))
 
     # In-flight dedup: claim every addressable pending job.  Owned jobs
@@ -2173,18 +2178,26 @@ def execute(
     claimed: set = set()
     owned: List[Tuple[int, JobSpec, Optional[str]]] = []
     waiting: List[Tuple[int, JobSpec, str, _InflightEntry]] = []
-    for index, job, key in pending:
-        entry = _INFLIGHT.claim(key) if key is not None else None
-        if entry is None:
-            if key is not None:
-                claimed.add(key)
-            owned.append((index, job, key))
-        else:
-            waiting.append((index, job, key, entry))
-
     failures: List[JobFailure] = []
     completed_ok = False
     try:
+        for index, job, key in pending:
+            entry = _INFLIGHT.claim(key) if key is not None else None
+            if entry is None:
+                if key is not None:
+                    claimed.add(key)
+                    # Another thread may have committed and released this
+                    # key between the lookups above and the claim: look
+                    # once more, and hand the stored result to anyone who
+                    # queued behind us.
+                    if serve_stored(index, job, key):
+                        _INFLIGHT.resolve(key, _copy_result(results[index]))
+                        claimed.discard(key)
+                        continue
+                owned.append((index, job, key))
+            else:
+                waiting.append((index, job, key, entry))
+
         if pending:
             for index, job, key in pending:
                 materialize(job.trace)  # pool files land before any dispatch

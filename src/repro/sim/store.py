@@ -45,7 +45,8 @@ import sqlite3
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim import faults
 from repro.sim.plan import (
@@ -117,13 +118,35 @@ def default_store_path() -> str:
     return os.path.join(default_cache_dir(), "results.sqlite")
 
 
+def _close_quietly(connections: List[sqlite3.Connection]) -> None:
+    for conn in connections:
+        try:
+            conn.close()
+        except sqlite3.Error:
+            pass
+
+
+def _close_connections(
+    connections: List[Tuple[sqlite3.Connection, threading.Thread]],
+    lock: threading.Lock,
+) -> None:
+    """Close and unregister every connection in ``connections``."""
+    with lock:
+        closing = [conn for conn, _ in connections]
+        connections.clear()
+    _close_quietly(closing)
+
+
 class ResultStore:
     """One SQLite row per completed job, keyed by the job's cache key.
 
     Thread-safe by construction: every thread gets its own connection
     (WAL journal, busy timeout), all writes are single-statement
     ``INSERT OR IGNORE`` transactions, and the schema is validated once
-    under a lock at first open.
+    under a lock at first open.  The store registers every connection it
+    opens with the thread that owns it, so :meth:`close` can close those
+    of finished threads too, and the garbage collection of a store nobody
+    closed closes them all.
     """
 
     def __init__(self, path: Optional[str] = None, busy_timeout_s: float = 10.0):
@@ -133,6 +156,14 @@ class ResultStore:
         self._lock = threading.Lock()
         self._generation = 0
         self._verified_schema = False
+        #: Every open connection and its owning thread (guarded by
+        #: ``_lock``; mutated in place, the finalizer holds the list).
+        self._connections: List[Tuple[sqlite3.Connection, threading.Thread]] = []
+        # Not at interpreter exit: daemon threads may still be using
+        # their connections then, and the process exit releases them.
+        weakref.finalize(
+            self, _close_connections, self._connections, self._lock
+        ).atexit = False
         # Validate the schema eagerly: refuse early, not mid-sweep.  A file
         # that is unreadable at open (corrupt image, stale WAL from a dead
         # process) takes the quarantine path right away — only a *schema*
@@ -149,10 +180,19 @@ class ResultStore:
     def _open_connection(self) -> sqlite3.Connection:
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=self._busy_ms / 1000.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={self._busy_ms}")
+        # Each connection is only ever used by the thread that opened it;
+        # check_same_thread=False only lets close() close a finished
+        # thread's connection, and the finalizer any, from another thread.
+        conn = sqlite3.connect(
+            self.path, timeout=self._busy_ms / 1000.0, check_same_thread=False
+        )
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA busy_timeout={self._busy_ms}")
+        except sqlite3.DatabaseError:
+            conn.close()  # a corrupt file fails here, before registration
+            raise
         return conn
 
     def _init_schema(self, conn: sqlite3.Connection) -> None:
@@ -176,8 +216,10 @@ class ResultStore:
 
     def _conn(self) -> sqlite3.Connection:
         state = getattr(self._local, "state", None)
-        if state is not None and state[1] == self._generation:
-            return state[0]
+        if state is not None:
+            if state[1] == self._generation:
+                return state[0]
+            self._close_own()  # stale since a recovery or close(): reopen
         conn = self._open_connection()
         try:
             if not self._verified_schema:
@@ -187,21 +229,50 @@ class ResultStore:
                         self._verified_schema = True
             else:
                 self._init_schema(conn)
-        except sqlite3.DatabaseError:
+        except (sqlite3.DatabaseError, StoreSchemaError):
             conn.close()
             raise
+        with self._lock:
+            # The service runs each sweep in a thread of its own: close
+            # what finished threads left behind, so handles do not pile up.
+            finished = self._take_finished()
+            self._connections.append((conn, threading.current_thread()))
+        _close_quietly(finished)
         self._local.state = (conn, self._generation)
         return conn
 
-    def close(self) -> None:
-        """Close the calling thread's connection (others close on reopen/GC)."""
+    def _take_finished(self) -> List[sqlite3.Connection]:
+        """Unregister the connections of finished threads (under ``_lock``)."""
+        finished = [entry for entry in self._connections if not entry[1].is_alive()]
+        for entry in finished:
+            self._connections.remove(entry)
+        return [conn for conn, _ in finished]
+
+    def _close_own(self) -> None:
+        """Close and unregister the calling thread's connection, if any."""
         state = getattr(self._local, "state", None)
         if state is not None:
-            try:
-                state[0].close()
-            except sqlite3.Error:
-                pass
             self._local.state = None
+            with self._lock:
+                self._connections[:] = [
+                    entry for entry in self._connections if entry[0] is not state[0]
+                ]
+            _close_quietly([state[0]])
+
+    def close(self) -> None:
+        """Close the calling thread's connection and those of finished threads.
+
+        A thread still running may be mid-statement on its connection, and
+        closing a connection under a running statement is unsafe, so it
+        keeps its handle: the bumped generation makes its next call close
+        the handle and reopen, and a store that is garbage-collected
+        closes whatever is left.  A later call from any thread reopens.
+        """
+        self._close_own()
+        with self._lock:
+            self._generation += 1  # handles still open elsewhere are stale
+            finished = self._take_finished()
+        _close_quietly(finished)
 
     def _recover(self, exc: Exception) -> None:
         """Set the corrupt file aside and re-initialise a fresh store.
@@ -210,7 +281,7 @@ class ResultStore:
         never trusted and never fatal — everything in it is rebuildable
         from the cache or by re-simulation.
         """
-        self.close()
+        self._close_own()
         with self._lock:
             self._generation += 1  # stale connections everywhere reopen
             self._verified_schema = False

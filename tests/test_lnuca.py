@@ -252,3 +252,107 @@ class TestActivityReporting:
             return latencies
 
         assert run_once() == run_once()
+
+
+def _expand(lnuca, frontier, hit=None):
+    """Tile-by-tile frontier expansion: every tile fans out to its search
+    children, except the first occurrence of the tile that hit."""
+    children_of = lnuca.search_net.children_of
+    expanded = []
+    for coord in frontier:
+        if coord == hit:
+            hit = None
+            continue
+        expanded.extend(children_of(coord))
+    return tuple(expanded)
+
+
+class TestFrontierMemo:
+    """The search steps read their next frontier from memo tables; those
+    must equal the tile-by-tile expansion, step by step, for every hit."""
+
+    def _follow(self, lnuca, block, limit=200):
+        """Issue a load for ``block`` and tick densely until its wave retires.
+
+        Returns ``(frontier, decisive cycle)`` at every step the wave
+        probes, read just before the tick that probes it.
+        """
+        lnuca.issue(block, AccessType.LOAD, 0)
+        wave = lnuca._waves[0]
+        steps = []
+        for cycle in range(limit):
+            if wave not in lnuca._waves:
+                return steps
+            if wave.next_cycle == cycle:
+                steps.append((wave.frontier, lnuca._wave_decisive_cycle(wave), cycle))
+            lnuca.tick(cycle)
+        raise AssertionError("search wave never retired")
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_tables_equal_tile_by_tile_expansion(self, levels):
+        reference = make_small_lnuca(levels)
+        canonical = []
+        frontier = tuple(reference.search_net.children_of(ROOT))
+        while frontier:
+            canonical.append(frontier)
+            frontier = _expand(reference, frontier)
+        assert [level for level, _ in reference._level_frontiers] == canonical
+
+        block = 0x7_0000
+        for index, level_frontier in enumerate(canonical):
+            for hit in dict.fromkeys(level_frontier):
+                lnuca = make_small_lnuca(levels)
+                lnuca.tiles[hit].array.fill(block)
+                steps = self._follow(lnuca, block)
+
+                # Reference walk: canonical levels up to the hit, then the
+                # pruned fan-out down to the leaves.
+                expected = list(canonical[: index + 1])
+                frontier = _expand(lnuca, canonical[index], hit)
+                while frontier:
+                    expected.append(frontier)
+                    frontier = _expand(lnuca, frontier)
+                assert [step[0] for step in steps] == expected, (levels, hit)
+                assert all(type(step[0]) is tuple for step in steps)
+
+                # The wave's decisive cycle is unchanged: the hit step while
+                # it is still canonical, the last post-hit step afterwards.
+                last = steps[-1][2]
+                for step_index, (_, decisive, cycle) in enumerate(steps):
+                    target = steps[index][2] if step_index <= index else last
+                    assert decisive == target, (levels, hit, step_index)
+
+                # What the steps read came from the memo tables.
+                post_hit = expected[index + 1:]
+                pruned = post_hit[0] if post_hit else ()
+                assert lnuca._frontier_pruned[(canonical[index], hit)] == pruned
+                for before, after in zip(post_hit, post_hit[1:] + [()]):
+                    assert lnuca._frontier_next[before] == after
+
+    def test_catch_up_replays_post_hit_steps_like_dense_ticks(self):
+        # A leap over post-hit steps replays them through the memo in
+        # _catch_up_waves; the wave and the search accounting must match a
+        # twin whose steps ran in dense ticks.  Only LN4 has a post-hit
+        # fan-out that outlives one step (a hit at its first level).
+        levels = 4
+        block = 0x7_0000
+        hit = make_small_lnuca(levels)._level_frontiers[0][0][0]
+        dense, leap = make_small_lnuca(levels), make_small_lnuca(levels)
+        for lnuca in (dense, leap):
+            lnuca.tiles[hit].array.fill(block)
+            lnuca.issue(block, AccessType.LOAD, 0)
+        waves = [dense._waves[0], leap._waves[0]]
+        cycle = 0
+        while waves[0].level_index is not None:  # tick through the hit step
+            dense.tick(cycle)
+            leap.tick(cycle)
+            cycle += 1
+        depth = leap._wave_decisive_cycle(waves[1]) - waves[1].next_cycle
+        assert depth >= 1
+        for step in range(depth):
+            dense._advance_search(cycle + step)
+        leap._catch_up_waves(cycle + depth)
+        assert waves[1].frontier == waves[0].frontier
+        assert waves[1].next_cycle == waves[0].next_cycle == cycle + depth
+        assert leap._search_lookups_bulk == dense._search_lookups_bulk
+        assert leap.search_net.stats.as_dict() == dense.search_net.stats.as_dict()

@@ -19,6 +19,7 @@ from repro.cpu.workloads import workload_by_name
 from repro.service import SweepManager, SweepRequestError, create_server
 from repro.service.manager import canonicalize_request, request_digest
 from repro.sim.configs import conventional_spec
+from repro.sim import plan as plan_module
 from repro.sim.plan import InflightRegistry, ResultCache, compile_sweep, execute
 from repro.sim.store import ResultStore
 
@@ -168,6 +169,92 @@ class TestConcurrentExecuteDedup:
             assert lhs.cycles == rhs.cycles
             assert lhs.core_stats == rhs.core_stats
             assert lhs.system == rhs.system == "L2-256KB"
+
+    @staticmethod
+    def _gate_first_cache_lookup(monkeypatch, thread_name):
+        """Hold ``thread_name``'s first cache lookup until ``release``."""
+        at_gate, release = threading.Event(), threading.Event()
+        held = {}
+        real_get = ResultCache.get
+
+        def gated_get(self, key):
+            hit = real_get(self, key)
+            if threading.current_thread().name == thread_name and not held:
+                held[key] = hit
+                at_gate.set()
+                release.wait(timeout=60)
+            return hit
+
+        monkeypatch.setattr(ResultCache, "get", gated_get)
+        return at_gate, release, held
+
+    def test_claim_after_another_thread_committed_reuses_its_result(
+        self, tmp_path, pinned_version, monkeypatch
+    ):
+        # Thread A finishes its cache lookups, then stalls before claiming
+        # the key; meanwhile B simulates the same jobs, commits and
+        # releases the claims.  A's claim then succeeds afresh, so A must
+        # look again instead of simulating the jobs a second time.
+        cache = ResultCache(str(tmp_path / "cache"))
+        builders = {"L2-256KB": conventional_spec()}
+        workloads = [workload_by_name("mcf-like"), workload_by_name("milc-like")]
+        at_gate, release, held = self._gate_first_cache_lookup(monkeypatch, "A")
+        runs, errors = {}, []
+
+        def run_a() -> None:
+            try:
+                runs["A"] = execute(compile_sweep(builders, workloads, TINY), cache=cache)
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        thread = threading.Thread(target=run_a, name="A")
+        thread.start()
+        assert at_gate.wait(timeout=60)
+        runs["B"] = execute(compile_sweep(builders, workloads, TINY), cache=cache)
+        release.set()
+        thread.join(timeout=120)
+        assert not errors
+        assert list(held.values()) == [None]  # A's first lookup really missed
+        a, b = runs["A"].stats, runs["B"].stats
+        assert b.simulated == 2
+        assert a.simulated == 0
+        assert a.cached == 2
+        for lhs, rhs in zip(runs["A"].results, runs["B"].results):
+            assert lhs.cycles == rhs.cycles
+            assert lhs.core_stats == rhs.core_stats
+
+    def test_raise_while_serving_after_the_claim_abandons_it(
+        self, tmp_path, pinned_version, monkeypatch
+    ):
+        # Same race, but serving A's job from the cache after its claim
+        # raises (here in on_result).  The claim must still be abandoned:
+        # a claim left in the registry stalls every later caller of the
+        # same job for its full wait cap.
+        cache = ResultCache(str(tmp_path / "cache"))
+        builders = {"L2-256KB": conventional_spec()}
+        workloads = [workload_by_name("mcf-like")]
+        at_gate, release, held = self._gate_first_cache_lookup(monkeypatch, "A")
+        errors = []
+
+        def refuse(job, result):
+            raise RuntimeError("on_result refused")
+
+        def run_a() -> None:
+            try:
+                execute(compile_sweep(builders, workloads, TINY), cache=cache,
+                        on_result=refuse)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run_a, name="A")
+        thread.start()
+        assert at_gate.wait(timeout=60)
+        assert execute(compile_sweep(builders, workloads, TINY), cache=cache).stats.simulated == 1
+        release.set()
+        thread.join(timeout=120)
+        assert list(held.values()) == [None]
+        assert [str(exc) for exc in errors] == ["on_result refused"]
+        assert not plan_module._INFLIGHT._entries
 
 
 # ----------------------------------------------------------- manager dedup

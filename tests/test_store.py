@@ -9,6 +9,7 @@ Alongside: the age-based pruning of abandoned sweep journals and the
 ``on_progress`` reporting that landed in the same change.
 """
 
+import gc
 import json
 import os
 import sqlite3
@@ -273,6 +274,154 @@ class TestStoreConcurrency:
         shared = store.get("f" * 64)
         assert shared.workload == "shared"
         assert shared.ipc in (1.0, 2.0, 3.0, 4.0)
+
+    def test_close_from_main_thread_closes_every_threads_connection(self, tmp_path):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        store.put("a" * 64, _dummy_result("wl-a"))
+        opened, errors = [store._conn()], []
+
+        def user(worker: int) -> None:
+            try:
+                store.put(f"{worker}".ljust(64, "1"), _dummy_result(f"wl-{worker}"))
+                assert store.get("a" * 64).workload == "wl-a"
+                opened.append(store._conn())
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        threads = [threading.Thread(target=user, args=(worker,)) for worker in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert len(set(map(id, opened))) == 3
+        store.close()
+        for conn in opened:
+            # "closed database", not the wrong-thread refusal.
+            with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+                conn.execute("SELECT 1")
+        # The store itself stays usable: the next call reopens.
+        assert store.stats()["rows"] == 3
+        store.close()
+
+    def test_finished_threads_connections_do_not_pile_up(self, tmp_path):
+        # The service runs each sweep in a thread of its own: a finished
+        # thread's connection is closed when the next one opens, not kept
+        # open until close().
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        opened = []
+
+        def user() -> None:
+            opened.append(store._conn())
+            store.get("a" * 64)
+
+        for _ in range(8):
+            thread = threading.Thread(target=user)
+            thread.start()
+            thread.join(timeout=30)
+        assert len(opened) == 8
+        for conn in opened[:-1]:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+                conn.execute("SELECT 1")
+        assert len(store._connections) == 2  # the main thread's and the last one's
+        store.close()
+
+    def test_close_leaves_a_running_threads_connection_to_it(self, tmp_path):
+        # A thread holds its handle between _conn() and execute while the
+        # main thread closes the store (the service's shutdown after
+        # Ctrl-C, with a sweep thread mid-put).  Its write must land and
+        # the healthy file must not be quarantined; its stale handle is
+        # closed by the thread itself at its next call.
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
+        real_conn = store._conn
+        at_gate, release = threading.Event(), threading.Event()
+        held, outcomes, errors = [], [], []
+
+        def gated_conn():
+            conn = real_conn()
+            if threading.current_thread().name == "user" and not held:
+                held.append(conn)
+                at_gate.set()
+                assert release.wait(timeout=30)
+            return conn
+
+        store._conn = gated_conn
+
+        def user() -> None:
+            try:
+                outcomes.append(store.put("b" * 64, _dummy_result("wl-b")))
+                outcomes.append(store.get("b" * 64).workload)
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        thread = threading.Thread(target=user, name="user")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thread.start()
+            assert at_gate.wait(timeout=30)
+            store.close()
+            release.set()
+            thread.join(timeout=60)
+        assert not errors
+        assert outcomes == [True, "wl-b"]
+        assert not [w for w in caught if "corrupt" in str(w.message)]
+        assert not [
+            name for name in os.listdir(tmp_path) if ".corrupt-" in name
+        ]
+        with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+            held[0].execute("SELECT 1")
+        assert store.get("b" * 64).workload == "wl-b"
+        store.close()
+
+    def test_no_connection_outlives_its_store(self, tmp_path, monkeypatch):
+        # Every connection the store opens ends closed: on a store dropped
+        # without close(), on a schema refusal and on a corrupt file.
+        opened = []
+        real_connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            conn = real_connect(*args, **kwargs)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+
+        def all_closed() -> bool:
+            for conn in opened:
+                try:
+                    conn.execute("SELECT 1")
+                except sqlite3.ProgrammingError:
+                    continue
+                return False
+            return True
+
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
+        store.put("a" * 64, _dummy_result("wl-a"))
+        thread = threading.Thread(target=lambda: store.get("a" * 64))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(opened) == 2
+        del store, thread
+        gc.collect()
+        assert all_closed()
+
+        conn = real_connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema'")
+        conn.close()
+        with pytest.raises(StoreSchemaError):
+            ResultStore(path)
+        assert len(opened) == 3 and all_closed()
+
+        corrupt = str(tmp_path / "corrupt.sqlite")
+        with open(corrupt, "wb") as handle:
+            handle.write(b"\x00garbage\x00" * 512)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            ResultStore(corrupt).close()
+        assert len(opened) == 5 and all_closed()
 
     def test_two_store_instances_share_one_file(self, tmp_path):
         path = str(tmp_path / "results.sqlite")
