@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
     store_sub.add_parser(
         "ingest",
-        help="ETL existing result-cache entries and sweep journals into the store",
+        help="ETL existing result-cache entries into the store",
     )
     store_query = store_sub.add_parser(
         "query", help="filter stored results (newest first)"
@@ -299,9 +299,7 @@ def _cache_verify(cache, keep: bool) -> None:
     print(
         f"cache {cache.directory}: {report['checked']} entries checked, "
         f"{report['corrupt']} corrupt ({verb}), "
-        f"{report['stale_tmp']} stale tmp files, "
-        f"{report['journals']} checkpoint journals "
-        f"({report['stale_journals']} abandoned, {verb})"
+        f"{report['stale_tmp']} stale tmp files ({verb})"
     )
 
 
@@ -407,14 +405,10 @@ def _scenarios_run(
 
 
 def _store_ingest(store, cache) -> None:
-    cache_report = store.ingest_cache(cache)
-    journal_report = store.ingest_journals(cache.directory)
+    report = store.ingest_cache(cache)
     print(
-        f"store {store.path}: ingested {cache_report['ingested']} of "
-        f"{cache_report['scanned']} cache entries "
-        f"({cache_report['skipped']} unreadable), "
-        f"{journal_report['ingested']} rows from {journal_report['journals']} "
-        f"journal(s) ({journal_report['skipped']} corrupt lines)"
+        f"store {store.path}: ingested {report['ingested']} of "
+        f"{report['scanned']} cache entries ({report['skipped']} unreadable)"
     )
 
 

@@ -24,6 +24,5 @@ class ExecutionError(RuntimeError):
     returning garbage, or raised a deterministic simulation error — and
     the caller asked for an exception instead of a structured
     :class:`~repro.sim.plan.JobFailure` record.  Results committed before
-    the abort remain in the cache and the sweep journal, so a re-run
-    resumes from them.
+    the abort remain in the result cache, so a re-run resumes from them.
     """

@@ -54,10 +54,10 @@ def generate_report(
     still byte-identical, still zero simulation — and every landed
     result is inserted, so the report corpus stays queryable.
 
-    Degraded execution (worker retries, timeouts, quarantined jobs, or a
-    journal resume) is recorded under ``provenance["execution"]`` so it is
-    visible in committed artifacts; a healthy run records nothing, which
-    keeps warm re-runs byte-identical to cold ones.
+    Degraded execution (worker retries, timeouts or quarantined jobs) is
+    recorded under ``provenance["execution"]`` so it is visible in
+    committed artifacts; a healthy run records nothing, which keeps warm
+    re-runs byte-identical to cold ones.
     """
     # use_store(None) would *clear* a store the caller (the CLI's --store)
     # already installed, so only override when one was passed explicitly.
@@ -127,8 +127,7 @@ def _generate_report_inner(
     if stats.degraded():
         report["provenance"]["execution"] = (
             f"degraded: retries={stats.retries} timeouts={stats.timeouts} "
-            f"quarantined={stats.quarantined} "
-            f"resumed_from_journal={stats.resumed_from_journal}"
+            f"quarantined={stats.quarantined}"
         )
     return report
 

@@ -13,8 +13,8 @@ at two levels:
    different requests still simulates exactly once.
 
 Below both sits the lookup ladder of ``execute`` itself (result cache →
-journal → SQLite store), which turns *repeated* requests into pure O(1)
-reads — ``counts.simulated == 0`` — with byte-identical results.
+SQLite store), which turns *repeated* requests into pure O(1) reads —
+``counts.simulated == 0`` — with byte-identical results.
 
 Execution itself is shared too: each sweep thread's ``execute`` call
 enqueues its jobs into the process-wide persistent worker pool

@@ -34,9 +34,10 @@ Sites and their ops
     :class:`~repro.common.errors.SimulationError`).
 ``commit``
     Fires in the committing process after a finished result has been
-    written to the cache and journal.  Matched by ``nth`` (per-process
-    commit counter).  Op ``exit`` SIGKILLs the process — the way tests
-    interrupt a sweep mid-flight to exercise checkpoint-resume.
+    written to the result cache (the sweep's checkpoint) and the store.
+    Matched by ``nth`` (per-process commit counter).  Op ``exit``
+    SIGKILLs the process — the way tests interrupt a sweep mid-flight to
+    exercise checkpoint-resume.
 ``spawn``
     Fires when the supervisor acquires a worker — a fresh fork *or* a
     reused pool worker (so the spawn-degradation path stays testable
@@ -47,7 +48,7 @@ Sites and their ops
     Matched by ``nth`` (per-process release counter).  Op ``kill``
     discards the worker instead of pooling it, exercising the
     recycle-and-respawn path without a real crash.
-``result-cache`` / ``trace-pool`` / ``journal`` / ``store``
+``result-cache`` / ``trace-pool`` / ``store``
     Fire after the respective file has been written (``store`` is the
     SQLite result store, fired after each row insert commits).  Matched
     by ``nth`` (per-site write counter) and ``path`` (substring).  Ops
@@ -101,7 +102,6 @@ SITES: Dict[str, frozenset] = {
     "worker-recycle": frozenset(("kill",)),
     "result-cache": _FILE_OPS,
     "trace-pool": _FILE_OPS,
-    "journal": _FILE_OPS,
     "store": _FILE_OPS,
 }
 
@@ -296,7 +296,7 @@ def on_worker_recycle() -> bool:
 
 
 def on_commit() -> None:
-    """Called after a finished result has been committed (cache+journal)."""
+    """Called after a finished result has been committed (cache, store)."""
     if active() is None:
         return
     spec = _match("commit", nth=_next("commit"))

@@ -43,12 +43,10 @@ job that exhausts its retries — it keeps killing workers — is
 :class:`~repro.common.errors.ExecutionError`).  When forking itself keeps
 failing the executor degrades to in-process execution with a warning.
 
-Every sweep is **checkpoint-resumable**: finished results are committed
-to the result cache *and* an fsync'd per-sweep journal
-(:class:`SweepJournal`) as they complete, so re-running an interrupted
-sweep simulates only the jobs that never finished.  The journal is
-deleted when the sweep completes cleanly; corrupt journal lines (the
-tail of a crash) are skipped, never trusted.
+Every sweep is **checkpoint-resumable**: each finished result is
+committed to the result cache as an fsync'd entry the moment it
+completes, so re-running an interrupted sweep simulates only the jobs
+that never committed.
 
 All of these paths are exercised deterministically by the fault-injection
 harness in :mod:`repro.sim.faults` (``REPRO_FAULT_PLAN`` / test API).
@@ -90,7 +88,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim import faults
 
@@ -404,7 +402,7 @@ class TracePool:
 
 # ---------------------------------------------------------------- result cache
 def _result_to_row(result: RunResult) -> Dict[str, object]:
-    """The JSON row shared by cache entries and journal lines."""
+    """The JSON row shared by cache entries and store rows."""
     return {
         "system": result.system,
         "workload": result.workload,
@@ -431,24 +429,13 @@ def _result_from_row(row: Dict[str, object]) -> RunResult:
     )
 
 
-#: Checkpoint journals older than this belong to sweeps nobody will
-#: resume; ``ResultCache.prune`` ages them out (override with the
-#: ``REPRO_JOURNAL_MAX_AGE_DAYS`` environment variable).
-JOURNAL_MAX_AGE_DAYS = 7.0
+class _OtherSchema(ValueError):
+    """A well-formed cache entry written under another ``RESULT_SCHEMA``."""
 
 
-def _journal_max_age_days() -> float:
-    env = os.environ.get("REPRO_JOURNAL_MAX_AGE_DAYS")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            warnings.warn(
-                f"REPRO_JOURNAL_MAX_AGE_DAYS={env!r} is not a number; ignoring it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return JOURNAL_MAX_AGE_DAYS
+#: What reading one cache entry may raise: IO failures, malformed JSON,
+#: missing or mistyped fields, and :class:`_OtherSchema`.
+_ENTRY_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 def default_cache_dir() -> str:
@@ -509,31 +496,21 @@ class ResultCache:
         Returns the number of entries deleted (0 when unlimited or within
         budget).  Entry age is the access time recorded on hits and
         writes; ties and IO races degrade gracefully (a file someone else
-        already removed just counts as pruned).  Journals of abandoned
-        sweeps are aged out alongside (:meth:`prune_stale_journals`);
-        they are checkpoints, not entries, so they do not count toward
-        the returned total.
+        already removed just counts as pruned).
         """
-        self.prune_stale_journals()
         if self.limit_bytes is None:
             return 0
-        root = os.path.join(self.directory, "results")
         entries: List[Tuple[float, int, str]] = []
         total = 0
-        try:
-            for dirpath, _, filenames in os.walk(root):
-                for filename in filenames:
-                    if not filename.endswith(".json"):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        info = os.stat(path)
-                    except OSError:
-                        continue
-                    entries.append((info.st_mtime, info.st_size, path))
-                    total += info.st_size
-        except OSError:
-            return 0
+        for key, path in self._walk():
+            if key is None:
+                continue
+            try:
+                info = os.stat(path)
+            except OSError:
+                continue
+            entries.append((info.st_mtime, info.st_size, path))
+            total += info.st_size
         deleted = 0
         if total > self.limit_bytes:
             entries.sort()
@@ -548,57 +525,50 @@ class ResultCache:
                     break
         return deleted
 
-    def prune_stale_journals(self, max_age_days: Optional[float] = None) -> int:
-        """Delete checkpoint journals of abandoned sweeps; return the count.
-
-        A live sweep fsyncs an append into its journal with every
-        completed job, so a journal whose mtime is older than
-        ``max_age_days`` (default :data:`JOURNAL_MAX_AGE_DAYS`, override
-        with ``REPRO_JOURNAL_MAX_AGE_DAYS``) belongs to a sweep nobody
-        resumed — the one case :class:`SweepJournal` itself can never
-        clean up, because its ``delete`` only runs when the sweep
-        completes.
-        """
-        if max_age_days is None:
-            max_age_days = _journal_max_age_days()
-        root = os.path.join(self.directory, "journals")
-        cutoff = time.time() - max_age_days * 86400.0
-        deleted = 0
-        try:
-            names = os.listdir(root)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(root, name)
-            try:
-                if os.stat(path).st_mtime < cutoff:
-                    os.remove(path)
-                    deleted += 1
-            except OSError:
-                pass
-        return deleted
-
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, "results", key[:2], f"{key}.json")
+
+    def _walk(self) -> Iterator[Tuple[Optional[str], str]]:
+        """Every file under ``results/`` as ``(key, path)``; ``key`` is
+        ``None`` for a file that is not an entry (a writer's tmp file)."""
+        for dirpath, _, filenames in os.walk(os.path.join(self.directory, "results")):
+            for filename in filenames:
+                key = filename[: -len(".json")] if filename.endswith(".json") else None
+                yield key, os.path.join(dirpath, filename)
+
+    @staticmethod
+    def _read(path: str) -> Tuple[RunResult, Optional[Dict[str, object]]]:
+        """One entry's result and digest provenance, rebuilt the same way
+        for every reader; raises one of :data:`_ENTRY_ERRORS`."""
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError(f"entry is a JSON {type(payload).__name__}")
+        if payload.get("schema") != RESULT_SCHEMA:
+            raise _OtherSchema(f"schema {payload.get('schema')!r}")
+        return _result_from_row(payload["result"]), payload.get("meta")
+
+    def entries(self) -> Iterator[Tuple[str, Optional[RunResult], Optional[Dict[str, object]]]]:
+        """Every entry as ``(key, result, meta)``.  ``result`` is ``None``
+        for an entry no lookup would serve (corrupt, or another schema's);
+        ``meta`` is the provenance :meth:`put` stored, if any."""
+        for key, path in self._walk():
+            if key is None:
+                continue
+            try:
+                result, meta = self._read(path)
+            except _ENTRY_ERRORS:
+                yield key, None, None
+            else:
+                yield key, result, meta
 
     def get(self, key: str) -> Optional[RunResult]:
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("schema") != RESULT_SCHEMA:
-                return None
-            if self.limit_bytes is not None:
-                try:
-                    os.utime(path)  # LRU stamp: hits protect their entry
-                except OSError:
-                    pass
-            return _result_from_row(payload["result"])
-        except FileNotFoundError:
+            result, _ = self._read(path)
+        except (FileNotFoundError, _OtherSchema):
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except _ENTRY_ERRORS as exc:
             warnings.warn(
                 f"result cache: discarding corrupt entry {path} ({exc})",
                 RuntimeWarning,
@@ -609,6 +579,12 @@ class ResultCache:
             except OSError:
                 pass
             return None
+        if self.limit_bytes is not None:
+            try:
+                os.utime(path)  # LRU stamp: hits protect their entry
+            except OSError:
+                pass
+        return result
 
     def put(self, key: str, result: RunResult, meta: Optional[Dict[str, object]] = None) -> None:
         """Write one entry.  ``meta`` (digest provenance: builder digest,
@@ -624,7 +600,7 @@ class ResultCache:
             tmp = _tmp_path(path)
             with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
-                # Durability before visibility: entries double as sweep
+                # Durability before visibility: entries are the sweep's
                 # checkpoints, so a crash right after os.replace must not
                 # leave a half-written page behind.
                 handle.flush()
@@ -638,8 +614,8 @@ class ResultCache:
                 )
             return
         faults.on_write("result-cache", path)
-        # Amortised even without a size limit: prune() then only ages out
-        # abandoned journals, which is one directory listing.
+        if self.limit_bytes is None:
+            return
         count = self._puts_since_prune
         if count is None or count + 1 >= self.PRUNE_EVERY:
             self.prune()
@@ -653,20 +629,13 @@ class ResultCache:
         Every entry is parsed and rebuilt exactly the way a lookup would
         rebuild it; entries that fail (truncated JSON, wrong schema,
         mistyped fields) are *corrupt* and — with ``delete``, the default —
-        removed, as are ``.tmp`` leftovers of crashed writers.  Checkpoint
-        journals are audited too: ``journals`` counts them and
-        ``stale_journals`` the ones past the abandonment age (deleted
-        with ``delete``).  Returns ``{"checked", "corrupt", "stale_tmp",
-        "journals", "stale_journals", "deleted"}`` counts; each corrupt
-        entry is also reported through a :class:`RuntimeWarning`.
+        removed, as are ``.tmp`` leftovers of crashed writers.  Returns
+        ``{"checked", "corrupt", "stale_tmp", "deleted"}`` counts; each
+        corrupt entry is also reported through a :class:`RuntimeWarning`.
         Surviving entries are byte-untouched, so verification never
         changes what a warm sweep replays.
         """
-        root = os.path.join(self.directory, "results")
-        report = {
-            "checked": 0, "corrupt": 0, "stale_tmp": 0,
-            "journals": 0, "stale_journals": 0, "deleted": 0,
-        }
+        report = {"checked": 0, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
 
         def remove(path: str) -> None:
             if delete:
@@ -676,154 +645,24 @@ class ResultCache:
                 except OSError:
                     pass
 
-        for dirpath, _, filenames in os.walk(root):
-            for filename in filenames:
-                path = os.path.join(dirpath, filename)
-                if ".tmp" in filename:
+        for key, path in self._walk():
+            if key is None:
+                if ".tmp" in os.path.basename(path):
                     report["stale_tmp"] += 1
                     remove(path)
-                    continue
-                if not filename.endswith(".json"):
-                    continue
-                report["checked"] += 1
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    if payload.get("schema") != RESULT_SCHEMA:
-                        raise ValueError(f"schema {payload.get('schema')!r}")
-                    _result_from_row(payload["result"])
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    report["corrupt"] += 1
-                    warnings.warn(
-                        f"cache verify: corrupt entry {path} ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    remove(path)
-        cutoff = time.time() - _journal_max_age_days() * 86400.0
-        journal_root = os.path.join(self.directory, "journals")
-        try:
-            journal_names = os.listdir(journal_root)
-        except OSError:
-            journal_names = []
-        for name in journal_names:
-            if not name.endswith(".jsonl"):
                 continue
-            report["journals"] += 1
-            path = os.path.join(journal_root, name)
+            report["checked"] += 1
             try:
-                stale = os.stat(path).st_mtime < cutoff
-            except OSError:
-                continue
-            if stale:
-                report["stale_journals"] += 1
+                self._read(path)
+            except _ENTRY_ERRORS as exc:
+                report["corrupt"] += 1
+                warnings.warn(
+                    f"cache verify: corrupt entry {path} ({exc})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 remove(path)
         return report
-
-
-# ---------------------------------------------------------------- sweep journal
-class SweepJournal:
-    """Append-only, fsync'd checkpoint of one sweep's completed jobs.
-
-    One JSONL file per sweep (named by the digest of the sweep's ordered
-    cache keys) under ``<cache dir>/journals``.  Every committed result
-    appends one line and is fsync'd immediately, so even a SIGKILL'd
-    sweep loses at most the job in flight.  On the next run of the same
-    sweep, journal rows restore completed results that the cache no
-    longer holds (pruned, corrupted, or wiped); a sweep that completes
-    cleanly deletes its journal.  Corrupt or truncated lines — the
-    expected tail of a crash — are skipped, never trusted.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-        self._write_failed = False
-
-    @classmethod
-    def for_plan(cls, cache_directory: str, keys: Iterable[str]) -> "SweepJournal":
-        digest = hashlib.sha256(
-            json.dumps(list(keys)).encode("utf-8")
-        ).hexdigest()
-        return cls(os.path.join(cache_directory, "journals", f"{digest}.jsonl"))
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        """Rows of a previous interrupted run, keyed by cache key."""
-        rows: Dict[str, Dict[str, object]] = {}
-        skipped = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        if entry.get("schema") != RESULT_SCHEMA:
-                            raise ValueError("schema mismatch")
-                        _result_from_row(entry["result"])  # validate now
-                        rows[entry["key"]] = entry["result"]
-                    except (ValueError, KeyError, TypeError):
-                        skipped += 1
-        except FileNotFoundError:
-            return {}
-        except OSError as exc:
-            warnings.warn(
-                f"sweep journal: unreadable ({exc}); resuming from cache only",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        if skipped:
-            warnings.warn(
-                f"sweep journal: skipped {skipped} corrupt line(s) in {self.path} "
-                "(interrupted write); the jobs re-simulate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return rows
-
-    def append(self, key: str, result: RunResult,
-               meta: Optional[Dict[str, object]] = None) -> None:
-        if self._write_failed:
-            return
-        try:
-            if self._handle is None:
-                os.makedirs(os.path.dirname(self.path), exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            entry: Dict[str, object] = {
-                "schema": RESULT_SCHEMA, "key": key, "result": _result_to_row(result),
-            }
-            if meta is not None:
-                entry["meta"] = meta
-            line = json.dumps(entry, sort_keys=True)
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError as exc:
-            # An unwritable journal costs resumability, not correctness.
-            self._write_failed = True
-            warnings.warn(
-                f"sweep journal: disabled ({exc})", RuntimeWarning, stacklevel=2
-            )
-            return
-        faults.on_write("journal", self.path)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
-    def delete(self) -> None:
-        """The sweep completed: the checkpoint has served its purpose."""
-        self.close()
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
 
 
 def _core_config_digest(core_config: Optional[CoreConfig]) -> str:
@@ -932,12 +771,23 @@ def compile_sweep(
     return RunPlan(jobs=jobs, builders=builders, traces=sources, core_config=core_config)
 
 
-# Kept for e2ebench/e2e_trace.py, its only reader.
+# Kept for e2ebench/e2e_trace.py, their only reader.
 class SnapshotStore:
     def get(self, *args, **kwargs) -> None:
         return None
 
     def put(self, *args, **kwargs) -> None:
+        return None
+
+
+class SweepJournal:
+    def load(self, *args, **kwargs) -> None:
+        return None
+
+    def append(self, *args, **kwargs) -> None:
+        return None
+
+    def delete(self, *args, **kwargs) -> None:
         return None
 
 
@@ -949,11 +799,10 @@ class ExecutionStats:
     ``simulated`` counts jobs that went to simulation (a retried job
     counts once — fault runs and clean runs report identical counts);
     ``retries`` / ``timeouts`` / ``quarantined`` count supervision
-    events; ``resumed_from_journal`` counts results restored from an
-    interrupted sweep's checkpoint; ``store_hits`` counts results served
-    by the SQLite result store after a cache miss; ``inflight_hits``
-    counts results adopted from an identical job that another thread of
-    this process was already simulating; ``workers_effective`` records
+    events; ``store_hits`` counts results served by the SQLite result
+    store after a cache miss; ``inflight_hits`` counts results adopted
+    from an identical job that another thread of this process was
+    already simulating; ``workers_effective`` records
     the peak number of processes that actually executed jobs (1 when
     in-process), so reports show what really ran.  ``pool_reused`` counts
     worker acquisitions served by an already-warm persistent-pool worker
@@ -971,7 +820,6 @@ class ExecutionStats:
     retries: int = 0
     timeouts: int = 0
     quarantined: int = 0
-    resumed_from_journal: int = 0
     workers_effective: int = 0
 
     def add(self, other: "ExecutionStats") -> None:
@@ -986,7 +834,6 @@ class ExecutionStats:
         self.retries += other.retries
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
-        self.resumed_from_journal += other.resumed_from_journal
         self.workers_effective = max(self.workers_effective, other.workers_effective)
 
     def describe(self) -> str:
@@ -997,16 +844,13 @@ class ExecutionStats:
             f"pool_loads={self.pool_loads} "
             f"workers_effective={self.workers_effective} retries={self.retries} "
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
-            f"resumed_from_journal={self.resumed_from_journal} "
             f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
             f"pool_reused={self.pool_reused}"
         )
 
     def degraded(self) -> bool:
         """True when this execution needed any fault-recovery machinery."""
-        return bool(
-            self.retries or self.timeouts or self.quarantined or self.resumed_from_journal
-        )
+        return bool(self.retries or self.timeouts or self.quarantined)
 
 
 # --------------------------------------------------------------- supervision
@@ -1677,7 +1521,7 @@ class _SupervisedExecutor:
     both the completion signal (a reply arrives) and the death signal
     (the pipe hits EOF), and enforces each job's wall-clock deadline by
     SIGKILLing and replacing the worker.  Completed results are committed
-    — cache, journal, caller callback — the moment they arrive, which is
+    — cache, store, caller callback — the moment they arrive, which is
     what makes an interrupted sweep resumable.
 
     Workers are leased from the process-global persistent pool
@@ -2006,9 +1850,9 @@ def execute(
             threads (no fork lock).
         cache: result cache; ``None`` disables memoization.  A ``-dirty``
             or unknown simulator version bypasses a configured cache with a
-            warning.  An active cache also activates the per-sweep
-            checkpoint journal: completed jobs are committed as they
-            finish, and an interrupted sweep resumes from them.
+            warning.  An active cache is also the sweep's checkpoint:
+            each completed job is committed to it as it finishes, and an
+            interrupted sweep resumes from the committed entries.
         pool: trace pool; defaults to ``<cache dir>/traces`` when a cache
             is active, else in-memory synthesis.
         trace_memo: share immutable synthesized traces (and their cached
@@ -2018,8 +1862,8 @@ def execute(
             (defaults to :class:`SupervisionPolicy`'s defaults; an active
             fault plan may override fields for testing).
         on_result: streaming-completion hook, called as each job's result
-            becomes available (cache hit, journal restore, store hit,
-            in-flight adoption, or fresh simulation; completion order
+            becomes available (cache hit, store hit, in-flight
+            adoption, or fresh simulation; completion order
             under workers is nondeterministic).
         on_progress: called as ``callback(done, total, stats)`` after
             every landed job and once more when the sweep finishes
@@ -2087,8 +1931,7 @@ def execute(
     results: List[Optional[RunResult]] = [None] * len(plan.jobs)
 
     # Content-address every job up front: the keys name the cache entries,
-    # the journal rows, the store rows, the in-flight claims, and (digested
-    # together) the sweep's journal file.  The metas carry the digest
+    # the store rows and the in-flight claims.  The metas carry the digest
     # provenance the store persists per row.
     keys: List[Optional[str]] = [None] * len(plan.jobs)
     metas: List[Optional[Dict[str, object]]] = [None] * len(plan.jobs)
@@ -2110,20 +1953,12 @@ def execute(
                     "mode": job.mode,
                 }
 
-    journal: Optional[SweepJournal] = None
-    journal_rows: Dict[str, Dict[str, object]] = {}
-    if active_cache is not None and any(key is not None for key in keys):
-        journal = SweepJournal.for_plan(
-            active_cache.directory, [key for key in keys if key is not None]
-        )
-        journal_rows = journal.load()
-
     def store_put(index: int, key: str, result: RunResult) -> None:
         if active_store is not None:
             active_store.put(key, result, meta=metas[index])
 
     def serve_stored(index: int, job: JobSpec, key: str) -> bool:
-        """Serve one job from the cache, the journal or the store, if any holds it."""
+        """Serve one job from the cache or the store, if either holds it."""
         if active_cache is not None:
             hit = active_cache.get(key)
             if hit is not None:
@@ -2134,20 +1969,6 @@ def execute(
                 store_put(index, key, hit)
                 if on_result is not None:
                     on_result(job, hit)
-                note_done()
-                return True
-            row = journal_rows.get(key)
-            if row is not None:
-                # An interrupted sweep checkpointed this job; restore it
-                # and repair the cache entry the crash (or pruning) lost.
-                restored = _result_from_row(row)
-                restored.system = job.system
-                results[index] = restored
-                stats.resumed_from_journal += 1
-                active_cache.put(key, restored, meta=metas[index])
-                store_put(index, key, restored)
-                if on_result is not None:
-                    on_result(job, restored)
                 note_done()
                 return True
         if active_store is not None:
@@ -2179,7 +2000,6 @@ def execute(
     owned: List[Tuple[int, JobSpec, Optional[str]]] = []
     waiting: List[Tuple[int, JobSpec, str, _InflightEntry]] = []
     failures: List[JobFailure] = []
-    completed_ok = False
     try:
         for index, job, key in pending:
             entry = _INFLIGHT.claim(key) if key is not None else None
@@ -2217,8 +2037,6 @@ def execute(
                 if key is not None:
                     if active_cache is not None:
                         active_cache.put(key, result, meta=metas[index])
-                    if journal is not None:
-                        journal.append(key, result, meta=metas[index])
                     store_put(index, key, result)
                     if key in claimed:
                         # Hand waiters their own copy: results are mutable
@@ -2357,21 +2175,11 @@ def execute(
                     result.system = job.system
                     stats.inflight_hits += 1
                     commit(index, job, key, result)
-        completed_ok = not failures
     finally:
         # Claims left over (exception mid-sweep, quarantined jobs with no
         # same-plan waiter) must wake cross-thread waiters.
         for key in list(claimed):
             _INFLIGHT.abandon(key)
-        if journal is not None:
-            if completed_ok:
-                # The sweep finished: the cache holds everything, the
-                # checkpoint has served its purpose.
-                journal.delete()
-            else:
-                # Interrupted (exception) or partially failed: keep the
-                # journal so the next run resumes from it.
-                journal.close()
 
     if progress is not None:
         progress(done, total, stats)

@@ -267,7 +267,8 @@ def run_suite(
             a :class:`RuntimeWarning` describing it) instead of aborting
             the sweep.
         on_result: streaming hook called with ``(job, result)`` as each
-            run completes (cache hit, journal restore, or simulation).
+            run completes (cache hit, store hit, in-flight adoption, or
+            simulation).
     """
     from repro.sim import plan as plan_module
 

@@ -12,13 +12,13 @@ scenario tag, or simulator version; compare two versions row by row —
 while preserving the repository's core contract: a store-served result
 is **byte-identical** to the fresh simulation's, because reconstruction
 goes through the same ``_result_to_row``/``_result_from_row`` pair the
-cache and journal use.
+cache uses.
 
 Placement in the lookup ladder (see :func:`repro.sim.plan.execute`):
-cache hit → journal restore → **store hit** → in-flight adoption →
-simulation.  Every landed result is fed back, so the store converges on
-everything the process has ever computed; ``repro store ingest`` ETLs
-pre-existing cache entries and abandoned sweep journals in bulk.
+cache hit → **store hit** → in-flight adoption → simulation.  Every
+landed result is fed back, so the store converges on everything the
+process has ever computed; ``repro store ingest`` ETLs pre-existing
+cache entries in bulk.
 
 Robustness rules, matching the cache's:
 
@@ -533,72 +533,13 @@ class ResultStore:
         :meth:`get`.  Unreadable entries are skipped (the cache's own
         ``verify`` handles them).
         """
-        from repro.sim.plan import RESULT_SCHEMA
-
         report = {"scanned": 0, "ingested": 0, "skipped": 0}
-        root = os.path.join(cache.directory, "results")
-        for dirpath, _, filenames in os.walk(root):
-            for filename in filenames:
-                if not filename.endswith(".json"):
-                    continue
-                report["scanned"] += 1
-                path = os.path.join(dirpath, filename)
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    if payload.get("schema") != RESULT_SCHEMA:
-                        raise ValueError("schema mismatch")
-                    result = _result_from_row(payload["result"])
-                except (OSError, ValueError, KeyError, TypeError):
-                    report["skipped"] += 1
-                    continue
-                key = filename[: -len(".json")]
-                if self.put(key, result, meta=payload.get("meta")):
-                    report["ingested"] += 1
-        return report
-
-    def ingest_journals(self, cache_directory: str) -> Dict[str, int]:
-        """ETL the rows of abandoned sweep journals into the store.
-
-        Journals checkpoint completed jobs of sweeps that never finished;
-        their rows are exactly as trustworthy as cache entries (same
-        codec, fsync'd), so abandoned work still becomes queryable
-        instead of evaporating with the age-based journal prune.
-        Corrupt lines — the tail of a crash — are skipped.
-        """
-        from repro.sim.plan import RESULT_SCHEMA
-
-        report = {"journals": 0, "rows": 0, "ingested": 0, "skipped": 0}
-        root = os.path.join(cache_directory, "journals")
-        try:
-            names = sorted(os.listdir(root))
-        except OSError:
-            return report
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            report["journals"] += 1
-            try:
-                with open(os.path.join(root, name), "r", encoding="utf-8") as handle:
-                    lines = handle.readlines()
-            except OSError:
-                continue
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                report["rows"] += 1
-                try:
-                    entry = json.loads(line)
-                    if entry.get("schema") != RESULT_SCHEMA:
-                        raise ValueError("schema mismatch")
-                    result = _result_from_row(entry["result"])
-                    key = entry["key"]
-                except (ValueError, KeyError, TypeError):
-                    report["skipped"] += 1
-                    continue
-                if self.put(key, result, meta=entry.get("meta")):
-                    report["ingested"] += 1
+        for key, result, meta in cache.entries():
+            report["scanned"] += 1
+            if result is None:
+                report["skipped"] += 1
+            elif self.put(key, result, meta=meta):
+                report["ingested"] += 1
         return report
 
     # -- migrations --------------------------------------------------------

@@ -6,7 +6,8 @@ a traced benchmark run (``e2e.py --trace 1``) raise.  This test runs the
 tracer end to end on a tiny Fig. 4 sweep, the way ``e2e.py`` starts it:
 a separate process running ``e2ebench/e2e_child.py`` with no ``REPRO_*``
 variable set.  The in-process tests pin the stand-ins that the removed
-span engines, schedule store and snapshot store left for it.
+span engines, schedule store, snapshot store and sweep journal left for
+it.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def test_snapshot_store_stand_in_returns_none(name):
     method = plan.SnapshotStore.__dict__[name]
     assert method(plan.SnapshotStore(), ("builder", "trace")) is None
     assert method(plan.SnapshotStore(), ("builder", "trace"), b"blob") is None
+
+
+@pytest.mark.parametrize("name", ["load", "append", "delete"])
+def test_sweep_journal_stand_in_returns_none(name):
+    # The tracer wraps these methods as it finds them in the class
+    # __dict__ and calls through with the old journal's arguments.
+    method = plan.SweepJournal.__dict__[name]
+    assert method(plan.SweepJournal()) is None
+    assert method(plan.SweepJournal(), "key", object(), meta={"mode": "event"}) is None
 
 
 def test_engine_counters_read_zero_after_a_run():

@@ -97,11 +97,18 @@ class TestValidation:
 
     def test_op_of_another_site_refused(self):
         with pytest.raises(ValueError, match="has no op 'crash'"):
-            FaultSpec(site="journal", op="crash")
+            FaultSpec(site="store", op="crash")
+
+    def test_removed_journal_site_refused(self):
+        # The result cache is the sweep's only checkpoint; no journal is
+        # written, so a spec aimed at one could never fire.
+        with pytest.raises(ValueError, match="unknown fault site 'journal'"):
+            FaultSpec(site="journal", op="truncate")
 
     @pytest.mark.parametrize("spec", [
         {"site": "worker-jobs", "op": "crash"},
         {"site": "worker-job", "op": "crahs"},
+        {"site": "journal", "op": "delete"},
     ])
     def test_env_plan_with_bad_spec_is_ignored(self, monkeypatch, spec):
         monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps({"faults": [spec]}))
@@ -135,9 +142,9 @@ class TestMatching:
         assert faults.worker_job("A/t", 0, 1) is None  # spent
 
     def test_path_substring(self):
-        spec = FaultSpec(site="journal", op="delete", path="journals")
-        assert spec.matches(path="/tmp/cache/journals/abc.jsonl")
-        assert not spec.matches(path="/tmp/cache/results/abc.json")
+        spec = FaultSpec(site="trace-pool", op="delete", path="traces")
+        assert spec.matches(path="/tmp/cache/traces/mcf-like-400.lntr")
+        assert not spec.matches(path="/tmp/cache/results/ab/abc.json")
 
     def test_garbage_op_returns_marker(self):
         faults.install(FaultPlan(specs=[FaultSpec(site="worker-job", op="garbage")]))
@@ -163,14 +170,14 @@ class TestFileOps:
         path = self._write(tmp_path)
         faults.install(FaultPlan(specs=[FaultSpec(site="result-cache", op="corrupt")]))
         faults.on_write("result-cache", path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data != b"x" * 100
         assert len(data) == 100  # overwritten in place, not truncated
 
     def test_truncate_halves(self, tmp_path):
         path = self._write(tmp_path)
-        faults.install(FaultPlan(specs=[FaultSpec(site="journal", op="truncate")]))
-        faults.on_write("journal", path)
+        faults.install(FaultPlan(specs=[FaultSpec(site="store", op="truncate")]))
+        faults.on_write("store", path)
         assert os.path.getsize(path) == 50
 
     def test_delete_removes(self, tmp_path):
@@ -192,7 +199,7 @@ class TestFileOps:
     def test_no_plan_is_free(self, tmp_path):
         path = self._write(tmp_path)
         faults.on_write("result-cache", path)
-        assert open(path, "rb").read() == b"x" * 100
+        assert Path(path).read_bytes() == b"x" * 100
 
 
 class TestSpawn:
@@ -332,7 +339,7 @@ ACTS = {
     ("spawn", "error"): _spawn_error,
     ("worker-recycle", "kill"): _recycle_kill,
 }
-for _site in ("result-cache", "trace-pool", "journal", "store"):
+for _site in ("result-cache", "trace-pool", "store"):
     for _op in ("corrupt", "truncate", "delete"):
         ACTS[(_site, _op)] = lambda tmp_path, site=_site, op=_op: _file_op(site, op, tmp_path)
 

@@ -12,6 +12,7 @@ import json
 import os
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +348,50 @@ class TestResultCache:
             rerun = execute(compile_sweep(builders, [spec], TINY), cache=cache)
         assert rerun.stats.simulated == 1
 
+    def test_non_object_entry_discarded(self, cache):
+        """Valid JSON that is not an object is a corrupt entry, not a crash."""
+        key = "ef" * 32
+        cache.put(key, _dummy_result("wl"))
+        Path(cache._path(key)).write_text("[]", encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="discarding corrupt entry"):
+            assert cache.get(key) is None
+        assert not os.path.exists(cache._path(key))
+
+    @pytest.mark.parametrize("caller", ["get", "verify", "ingest_cache"])
+    def test_wrong_schema_entry(self, cache, tmp_path, caller):
+        """An entry written under another ``RESULT_SCHEMA``: a lookup
+        misses quietly and keeps the file, ``verify`` counts and deletes
+        it as corrupt, and the store's ingest skips it."""
+        from repro.sim.store import ResultStore
+
+        key = "cd" * 32
+        cache.put(key, _dummy_result("wl"))
+        path = cache._path(key)
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["schema"] = plan.RESULT_SCHEMA + 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        if caller == "get":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cache.get(key) is None
+            assert os.path.exists(path)
+        elif caller == "verify":
+            with pytest.warns(RuntimeWarning, match="corrupt entry"):
+                report = cache.verify()
+            assert (report["checked"], report["corrupt"], report["deleted"]) == (1, 1, 1)
+            assert not os.path.exists(path)
+        else:
+            store = ResultStore(str(tmp_path / "results.sqlite"))
+            try:
+                report = store.ingest_cache(cache)
+                assert report == {"scanned": 1, "ingested": 0, "skipped": 1}
+                assert store.get(key) is None
+            finally:
+                store.close()
+            assert os.path.exists(path)
+
     def test_size_cap_prunes_oldest_access_entries(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_VERSION", "test-version-1")
         cache = ResultCache(str(tmp_path / "cache"), limit_mb=0.5)
@@ -408,6 +453,69 @@ class TestResultCache:
         # without bound even though no one called prune() explicitly.
         total = sum(os.path.getsize(path) for path in self._entry_paths(cache))
         assert total <= 1048 + 1024  # budget plus at most a few fresh puts
+
+    @pytest.mark.parametrize("limit_mb, audits", [(None, 0), (1024.0, 2)])
+    def test_put_audits_size_only_under_a_limit(
+        self, tmp_path, monkeypatch, limit_mb, audits
+    ):
+        """An unlimited cache never walks its tree on a write; a capped one
+        audits on its first write and then once every ``PRUNE_EVERY``."""
+        monkeypatch.delenv("REPRO_CACHE_LIMIT_MB", raising=False)
+        cache = ResultCache(str(tmp_path / "cache"), limit_mb=limit_mb)
+        calls = []
+        monkeypatch.setattr(cache, "prune", lambda: calls.append(None) or 0)
+        for index in range(ResultCache.PRUNE_EVERY + 2):
+            cache.put(f"{index:064x}", _dummy_result(f"wl{index}"))
+        assert len(calls) == audits
+        assert len(self._entry_paths(cache)) == ResultCache.PRUNE_EVERY + 2
+
+    def test_entries_reads_each_entry_the_way_a_lookup_does(self, cache):
+        """``entries`` yields every entry once, with the result and meta a
+        lookup would rebuild, or ``None`` for one no lookup would serve;
+        it skips a writer's tmp leftover and deletes nothing."""
+        good = {"aa" * 32: _dummy_result("wl-a"), "ab" * 32: _dummy_result("wl-b")}
+        for key, result in good.items():
+            cache.put(key, result, meta={"mode": "event", "note": key[:4]})
+        corrupt, other = "ba" * 32, "bb" * 32
+        cache.put(corrupt, _dummy_result("wl-c"))
+        Path(cache._path(corrupt)).write_text('{"schema": 1, "resu', encoding="utf-8")
+        cache.put(other, _dummy_result("wl-d"))
+        path = Path(cache._path(other))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["schema"] = plan.RESULT_SCHEMA + 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        Path(cache._path("aa" * 32) + ".tmp").write_text("leftover", encoding="utf-8")
+        before = sorted(self._entry_paths(cache))
+
+        listed = list(cache.entries())
+        assert sorted(key for key, _, _ in listed) == sorted([*good, corrupt, other])
+        seen = {key: (result, meta) for key, result, meta in listed}
+        for key, result in good.items():
+            assert result_tuple(seen[key][0]) == result_tuple(result)
+            assert seen[key][1] == {"mode": "event", "note": key[:4]}
+        assert seen[corrupt] == (None, None)
+        assert seen[other] == (None, None)
+        assert sorted(self._entry_paths(cache)) == before
+
+    def test_housekeeping_touches_only_results(self, cache):
+        """``verify`` and ``prune`` walk ``results/`` alone: a ``journals/``
+        an older version left, however old, and the trace pool beside it
+        are neither counted nor deleted."""
+        for index in range(2):
+            cache.put(f"{index:064x}", _dummy_result(f"wl{index}"))
+        journal = Path(cache.directory) / "journals" / "abandoned.jsonl"
+        trace = Path(cache.directory) / "traces" / "mcf-like-1200.lntr"
+        for path in (journal, trace):
+            path.parent.mkdir(parents=True)
+            path.write_text("{}\n", encoding="utf-8")
+            stamp = os.path.getmtime(path) - 30 * 86400.0
+            os.utime(path, (stamp, stamp))
+        report = cache.verify()
+        assert report == {"checked": 2, "corrupt": 0, "stale_tmp": 0, "deleted": 0}
+        cache.limit_bytes = 0
+        assert cache.prune() == 2
+        assert self._entry_paths(cache) == []
+        assert journal.exists() and trace.exists()
 
 
 # ---------------------------------------------------------- concurrent writers
@@ -515,15 +623,13 @@ class TestWarmReport:
         artifacts = sorted(
             name for name in os.listdir(out) if name.endswith((".md", ".csv"))
         )
-        first_bytes = {
-            name: open(os.path.join(out, name), "rb").read() for name in artifacts
-        }
+        first_bytes = {name: (Path(out) / name).read_bytes() for name in artifacts}
         with plan.collect_stats() as warm_stats:
             report_module.write_report(out, num_instructions=600, per_category=1, cache=cache)
         assert warm_stats.simulated == 0
         assert warm_stats.cached == cold_stats.simulated + cold_stats.cached
         for name in artifacts:
-            assert open(os.path.join(out, name), "rb").read() == first_bytes[name], name
+            assert (Path(out) / name).read_bytes() == first_bytes[name], name
 
     def test_warm_report_builds_no_hierarchy(self, tmp_path, cache, monkeypatch):
         """A warm report pays for cache reads and rendering only: it builds

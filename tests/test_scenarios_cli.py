@@ -1,6 +1,7 @@
 """End-to-end tests: fig6 scenario sweep and the `scenarios` CLI."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ class TestFig6:
 
     def test_write_csv(self, fig6_report, tmp_path):
         path = fig6_scenarios.write_csv(fig6_report, str(tmp_path / "sweep.csv"))
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "scenario," + ",".join(fig6_report["systems"])
         assert len(lines) == 1 + len(fig6_report["ipc"])
 

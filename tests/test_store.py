@@ -2,11 +2,11 @@
 
 The store's contract is the cache's, one tier further out: a store-served
 result must be **byte-identical** to the fresh simulation's (same row
-codec as cache entries and journal lines), a corrupt store is quarantined
+codec as cache entries), a corrupt store is quarantined
 and rebuilt rather than trusted, a schema mismatch refuses instead of
 misreading, and concurrent writers (WAL mode) never corrupt each other.
-Alongside: the age-based pruning of abandoned sweep journals and the
-``on_progress`` reporting that landed in the same change.
+Alongside: the ``on_progress`` reporting that landed in the same
+change.
 """
 
 import gc
@@ -14,7 +14,6 @@ import json
 import os
 import sqlite3
 import threading
-import time
 import warnings
 
 import pytest
@@ -31,7 +30,6 @@ from repro.sim.configs import (
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ResultCache,
-    SweepJournal,
     compile_sweep,
     execute,
     set_default_progress,
@@ -150,20 +148,26 @@ class TestStoreRoundTrip:
         again = store.ingest_cache(cache)
         assert again["ingested"] == 0
 
-    def test_ingest_journals_recovers_abandoned_rows(self, tmp_path, pinned_version):
-        cache_dir = str(tmp_path / "cache")
-        journal = SweepJournal(os.path.join(cache_dir, "journals", "abandoned.jsonl"))
-        result = _dummy_result("wl-a", system="L2-256KB", ipc=1.25)
-        journal.append("a" * 64, result, meta={"simulator_version": "test-version-1"})
-        journal.close()
-        # A corrupt tail (interrupted write) must be skipped, not trusted.
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "key": "trunc')
+    def test_store_ingest_cli_counts_cache_entries(
+        self, tmp_path, pinned_version, monkeypatch, capsys
+    ):
+        from repro import cli
 
-        store = ResultStore(str(tmp_path / "results.sqlite"))
-        report = store.ingest_journals(cache_dir)
-        assert report == {"journals": 1, "rows": 2, "ingested": 1, "skipped": 1}
-        assert result_tuple(store.get("a" * 64)) == result_tuple(result)
+        cache = ResultCache(str(tmp_path / "cache"))
+        builders = {"L2-256KB": conventional_spec()}
+        execute(compile_sweep(builders, two_workloads(), TINY), cache=cache)
+        cache.put("f" * 64, _dummy_result("wl-a"))
+        with open(cache._path("f" * 64), "w", encoding="utf-8") as handle:
+            handle.write("{truncated")
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache.directory)
+        store_path = str(tmp_path / "results.sqlite")
+        args = ["--store", store_path, "store", "ingest"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == (
+            f"store {store_path}: ingested 2 of 3 cache entries (1 unreadable)\n"
+        )
+        assert cli.main(args) == 0  # first writer wins: nothing new
+        assert "ingested 0 of 3 cache entries" in capsys.readouterr().out
 
     def test_query_filters_and_scenario_tag(self, tmp_path, pinned_version):
         store = ResultStore(str(tmp_path / "results.sqlite"))
@@ -477,62 +481,6 @@ class TestStoreFaultInjection:
             name.startswith("results.sqlite.corrupt-")
             for name in os.listdir(tmp_path)
         )
-
-
-# ------------------------------------------------- abandoned-journal pruning
-class TestJournalAging:
-    def _journal(self, cache, name, age_days):
-        path = os.path.join(cache.directory, "journals", name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{}\n")
-        stamp = time.time() - age_days * 86400.0
-        os.utime(path, (stamp, stamp))
-        return path
-
-    def test_prune_stale_journals_is_age_based(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        stale = self._journal(cache, "stale.jsonl", age_days=8.0)
-        fresh = self._journal(cache, "fresh.jsonl", age_days=0.0)
-        assert cache.prune_stale_journals() == 1
-        assert not os.path.exists(stale)
-        assert os.path.exists(fresh)
-
-    def test_prune_covers_journals_even_without_size_limit(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))  # no size cap
-        stale = self._journal(cache, "stale.jsonl", age_days=8.0)
-        assert cache.prune() == 0  # journals are not entries
-        assert not os.path.exists(stale)
-
-    def test_env_override_tightens_the_age(self, tmp_path, monkeypatch):
-        cache = ResultCache(str(tmp_path / "cache"))
-        recent = self._journal(cache, "recent.jsonl", age_days=0.5)
-        assert cache.prune_stale_journals() == 0  # default 7-day threshold
-        monkeypatch.setenv("REPRO_JOURNAL_MAX_AGE_DAYS", "0.25")
-        assert cache.prune_stale_journals() == 1
-        assert not os.path.exists(recent)
-
-    def test_cache_verify_reports_and_deletes_stale_journals(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        stale = self._journal(cache, "stale.jsonl", age_days=8.0)
-        fresh = self._journal(cache, "fresh.jsonl", age_days=0.0)
-        report = cache.verify(delete=False)
-        assert report["journals"] == 2
-        assert report["stale_journals"] == 1
-        assert os.path.exists(stale)  # report-only did not touch it
-        report = cache.verify(delete=True)
-        assert report["stale_journals"] == 1
-        assert not os.path.exists(stale)
-        assert os.path.exists(fresh)
-
-    def test_live_sweep_journal_survives_pruning(self, tmp_path, pinned_version):
-        # A journal written moments ago (an in-flight or just-interrupted
-        # sweep) is never aged out by the amortised prune on put().
-        cache = ResultCache(str(tmp_path / "cache"))
-        fresh = self._journal(cache, "live.jsonl", age_days=0.0)
-        for i in range(ResultCache.PRUNE_EVERY + 2):
-            cache.put(f"{i:064x}", _dummy_result(f"wl{i}"))
-        assert os.path.exists(fresh)
 
 
 # ------------------------------------------------------------------ progress

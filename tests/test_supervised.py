@@ -4,14 +4,15 @@ The contract extends the plan layer's: a sweep disturbed by worker
 crashes, hangs, garbage replies, and corrupted files must still produce
 results **bit-identical** to an undisturbed sequential run — and a sweep
 interrupted outright (SIGKILL) must resume simulating only the jobs
-that never committed, via the :class:`~repro.sim.plan.SweepJournal`
-checkpoint and the result cache.
+that never committed, via the fsync'd result-cache entries of the jobs
+that did.
 
 Every disturbance is injected deterministically through
 :mod:`repro.sim.faults`, so these paths are exercised on every test run,
 not only when production infrastructure actually fails.
 """
 
+import json
 import math
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ import threading
 import time
 import warnings
 from multiprocessing import connection as mp_connection
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,6 @@ from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.plan import (
     ResultCache,
     SupervisionPolicy,
-    SweepJournal,
     TracePool,
     compile_sweep,
     execute,
@@ -480,43 +481,6 @@ class TestCorruptionRecovery:
         assert "entries checked" in out
 
 
-class TestJournal:
-    def test_round_trip(self, cache):
-        compiled = small_plan()
-        run = execute(compiled, cache=cache)
-        journal = SweepJournal(str(os.path.join(cache.directory, "j.jsonl")))
-        journal.append("key-a", run.results[0])
-        journal.append("key-b", run.results[1])
-        journal.close()
-        rows = journal.load()
-        assert set(rows) == {"key-a", "key-b"}
-        restored = plan._result_from_row(rows["key-a"])
-        assert result_tuple(restored) == result_tuple(run.results[0])
-
-    def test_corrupt_lines_are_skipped(self, cache):
-        compiled = small_plan()
-        run = execute(compiled, cache=cache)
-        journal = SweepJournal(str(os.path.join(cache.directory, "j.jsonl")))
-        journal.append("key-a", run.results[0])
-        journal.close()
-        with open(journal.path, "a") as handle:
-            handle.write('{"schema": "bogus"}\n')
-            handle.write('{"truncated-by-sigki')
-        with pytest.warns(RuntimeWarning, match="skipped 2 corrupt"):
-            rows = journal.load()
-        assert set(rows) == {"key-a"}
-
-    def test_missing_journal_loads_empty(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "missing.jsonl"))
-        assert journal.load() == {}
-
-    def test_clean_completion_deletes_journal(self, cache):
-        compiled = small_plan()
-        execute(compiled, cache=cache)
-        journals = os.path.join(cache.directory, "journals")
-        assert os.listdir(journals) == []
-
-
 def _interrupted_child(compiled, cache_dir):
     """Run the sweep sequentially; the installed fault SIGKILLs it."""
     faults.install(FaultPlan(specs=[
@@ -527,7 +491,8 @@ def _interrupted_child(compiled, cache_dir):
 
 
 class TestInterruptResume:
-    """SIGKILL a sweep mid-flight; the journal + cache make it resumable."""
+    """SIGKILL a sweep mid-flight; its committed cache entries make it
+    resumable."""
 
     def _interrupt(self, compiled, cache):
         ctx = multiprocessing.get_context("fork")
@@ -537,14 +502,14 @@ class TestInterruptResume:
         child.start()
         child.join(timeout=120)
         assert child.exitcode == -signal.SIGKILL
-        journals = os.listdir(os.path.join(cache.directory, "journals"))
-        assert len(journals) == 1
-        journal_path = os.path.join(cache.directory, "journals", journals[0])
-        lines = [
-            line for line in open(journal_path).read().splitlines() if line.strip()
+        root = os.path.join(cache.directory, "results")
+        entries = [
+            name
+            for _, _, names in os.walk(root)
+            for name in names
+            if name.endswith(".json")
         ]
-        assert len(lines) == 3  # the fault fired after the third commit
-        return journal_path
+        assert len(entries) == 3  # the fault fired after the third commit
 
     def test_resume_simulates_only_incomplete_jobs(self, cache):
         compiled = four_hierarchy_plan()
@@ -556,23 +521,79 @@ class TestInterruptResume:
         assert resumed.stats.simulated == len(compiled.jobs) - 3
         assert not resumed.failures
         assert_identical(resumed.results, reference)
-        assert os.listdir(os.path.join(cache.directory, "journals")) == []
+        # The cache is the only checkpoint: nothing else was written.
+        assert sorted(os.listdir(cache.directory)) == ["results", "traces"]
 
-    def test_resume_from_journal_when_cache_is_gone(self, cache):
-        """The fsync'd journal alone restores committed results."""
+    def test_resume_when_cache_is_wiped_simulates_every_job(self, cache):
+        """A cache lost between the kill and the resume (pruned, wiped)
+        costs re-simulation, never a wrong result."""
         compiled = four_hierarchy_plan()
         reference = reference_results(compiled)
         self._interrupt(compiled, cache)
         shutil.rmtree(os.path.join(cache.directory, "results"))  # e.g. pruned
         resumed = execute(compiled, cache=cache)
-        assert resumed.stats.resumed_from_journal == 3
         assert resumed.stats.cached == 0
-        assert resumed.stats.simulated == len(compiled.jobs) - 3
+        assert resumed.stats.simulated == len(compiled.jobs)
+        assert not resumed.failures
         assert_identical(resumed.results, reference)
-        # The restore also repaired the cache entries.
+        # The resumed run committed every job again.
         rerun = execute(compiled, cache=cache)
         assert rerun.stats.cached == len(compiled.jobs)
-        assert os.listdir(os.path.join(cache.directory, "journals")) == []
+        assert rerun.stats.simulated == 0
+        assert_identical(rerun.results, reference)
+
+    def test_journal_of_an_older_version_is_not_read(self, cache):
+        """A ``journals/`` an older version left beside the cache restores
+        nothing: with the entries gone, every job re-simulates, and the
+        journal stays as it was, for the user to delete."""
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        self._interrupt(compiled, cache)
+        journal = Path(cache.directory) / "journals" / "interrupted.jsonl"
+        journal.parent.mkdir()
+        rows = [
+            {"schema": plan.RESULT_SCHEMA, "key": key, "meta": meta,
+             "result": plan._result_to_row(result)}
+            for key, result, meta in cache.entries()
+        ]
+        assert len(rows) == 3
+        journal.write_text(
+            "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        before = journal.read_bytes()
+        shutil.rmtree(os.path.join(cache.directory, "results"))
+        resumed = execute(compiled, cache=cache)
+        assert resumed.stats.cached == 0
+        assert resumed.stats.simulated == len(compiled.jobs)
+        assert_identical(resumed.results, reference)
+        assert journal.read_bytes() == before
+
+
+class TestCheckpointOrder:
+    """A job's fsync'd cache entry is its only checkpoint, so it is on
+    disk before anyone downstream hears of the job."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_entry_lands_before_on_result(self, cache, workers):
+        compiled = small_plan()
+        root = os.path.join(cache.directory, "results")
+        on_disk = []
+
+        def on_result(job, result):
+            on_disk.append(sum(
+                name.endswith(".json")
+                for _, _, names in os.walk(root)
+                for name in names
+            ))
+
+        run = execute(
+            compiled, workers=workers, cache=cache, supervision=FAST,
+            on_result=on_result,
+        )
+        assert not run.failures
+        assert run.stats.simulated == len(compiled.jobs)
+        assert on_disk == list(range(1, len(compiled.jobs) + 1))
 
 
 class TestStreamingAndStats:
@@ -605,8 +626,7 @@ class TestStreamingAndStats:
         compiled = small_plan()
         run = execute(compiled)
         text = run.stats.describe()
-        for token in ("workers_effective=", "retries=", "timeouts=",
-                      "quarantined=", "resumed_from_journal="):
+        for token in ("workers_effective=", "retries=", "timeouts=", "quarantined="):
             assert token in text
         assert not run.stats.degraded()
 

@@ -1,6 +1,7 @@
 """Tests for the binary trace capture/replay format."""
 
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,7 @@ class TestRoundTrip:
         a, b = str(tmp_path / "a.lntr"), str(tmp_path / "b.lntr")
         save_trace(sample_trace, a)
         save_trace(sample_trace, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_extreme_field_values_survive(self, tmp_path):
         trace = Trace(
