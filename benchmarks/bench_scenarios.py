@@ -1,8 +1,8 @@
-"""Benchmark: the scenario sweep (Fig. 6) and vectorized trace synthesis.
+"""Benchmark: the scenario sweep (Fig. 6) and scenario trace synthesis.
 
 Times the new-workload sweep across all four hierarchy types at the
-benchmark size, and the scenario engine's vectorized generation against
-the legacy per-instruction generator.
+benchmark size, and the scenario engine's generation against the legacy
+per-instruction generator.
 """
 
 from repro.cpu.workloads import generate_trace, workload_by_name
@@ -35,15 +35,15 @@ def test_fig6_scenario_sweep(benchmark):
         assert by_system["LN3-144KB"] >= by_system["L2-256KB"] * 0.9
 
 
-def test_vectorized_generation(benchmark):
-    """Time vectorized synthesis of a bench-sized scenario trace."""
+def test_scenario_generation(benchmark):
+    """Time synthesis of a bench-sized scenario trace."""
     spec = scenario("kv-zipf-hot")
     n = 20 * BENCH_INSTRUCTIONS
     trace = benchmark.pedantic(
         build_trace, args=(spec, n), rounds=3, iterations=1
     )
     assert len(trace) == n
-    # The vectorized engine must beat the legacy per-instruction path.
+    # The scenario engine must beat the legacy per-instruction path.
     import time
 
     start = time.perf_counter()

@@ -26,7 +26,7 @@ stage set:
   (array fill/lookup, a full L-NUCA miss search, trace generation, the
   hierarchy set-up a report pays per job — factory and prewarm, plus
   the exact count of objects one build adds — the scenario engine's
-  vectorized-vs-scalar-vs-legacy synthesis, binary trace
+  synthesis against the legacy generator, binary trace
   capture/replay, the repeated-sweep micro comparing the plan layer's
   trace pool+memo and warm-cache paths against the direct path, the
   store-vs-cache micro holding the SQLite result store's warm hit path
@@ -142,52 +142,27 @@ def micro_trace_gen(repeat):
 
 
 def micro_scenario_gen(repeat):
-    """Trace synthesis: vectorized engine vs scalar reference vs legacy.
+    """Trace synthesis: the scenario engine vs the legacy generator.
 
-    All three produce a comparable key-value-server-sized stream; the
-    vectorized and scalar paths synthesize the *same* scenario (their
-    traces are bit-identical), the legacy path is the historical
-    per-instruction generator.
+    Both produce a comparable key-value-server-sized stream: the engine
+    synthesizes the ``kv-zipf-hot`` scenario, the legacy path is the
+    historical per-instruction generator.
     """
     from repro.scenarios import build_trace, scenario
-    from repro.scenarios.sampling import HAVE_NUMPY
 
     n = 50_000
-    base = scenario("kv-zipf-hot")
-
-    def with_backend(vectorized):
-        return base.with_params(vectorized=vectorized)
-
-    scalar_wall, scalar_trace = _best_of(
-        repeat, lambda: build_trace(with_backend(False), n)
-    )
+    spec = scenario("kv-zipf-hot")
+    scalar_wall, _ = _best_of(repeat, lambda: build_trace(spec, n))
     legacy_wall, _ = _best_of(
         repeat, lambda: generate_trace(workload_by_name("mcf-like"), n)
     )
-    stage = {
+    return {
         "instructions": n,
         "scalar_wall_s": scalar_wall,
         "scalar_instructions_per_s": n / scalar_wall,
         "legacy_wall_s": legacy_wall,
         "legacy_instructions_per_s": n / legacy_wall,
-        "have_numpy": HAVE_NUMPY,
     }
-    if HAVE_NUMPY:
-        import numpy  # noqa: F401 - imported lazily by synthesis; keep it out of the timing
-
-        vec_wall, vec_trace = _best_of(
-            repeat, lambda: build_trace(with_backend(True), n)
-        )
-        if vec_trace.instructions != scalar_trace.instructions:
-            raise AssertionError("vectorized and scalar backends diverged — engine bug")
-        stage.update(
-            vectorized_wall_s=vec_wall,
-            vectorized_instructions_per_s=n / vec_wall,
-            vectorized_speedup_vs_scalar=scalar_wall / vec_wall,
-            vectorized_speedup_vs_legacy=legacy_wall / vec_wall,
-            backends_bit_identical=True,
-        )
-    return stage
 
 
 def micro_trace_file(repeat):
@@ -864,7 +839,7 @@ def main(argv=None):
     stages["micro_lnuca_search"] = micro_lnuca_search(args.repeat)
     print("micro: trace generation ...", flush=True)
     stages["micro_trace_gen"] = micro_trace_gen(args.repeat)
-    print("micro: scenario synthesis (vectorized vs scalar vs legacy) ...", flush=True)
+    print("micro: scenario synthesis (engine vs legacy) ...", flush=True)
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
@@ -944,12 +919,10 @@ def main(argv=None):
         + f"): at most {build['max_tracked_objects_per_build']:,} tracked objects per build"
     )
     gen = stages["micro_scenario_gen"]
-    if "vectorized_instructions_per_s" in gen:
-        print(
-            f"scenario synthesis: vectorized {gen['vectorized_instructions_per_s']:,.0f} instr/s "
-            f"({gen['vectorized_speedup_vs_scalar']:.2f}x vs scalar reference, "
-            f"{gen['vectorized_speedup_vs_legacy']:.2f}x vs legacy per-instruction)"
-        )
+    print(
+        f"scenario synthesis: {gen['scalar_instructions_per_s']:,.0f} instr/s "
+        f"({gen['legacy_wall_s'] / gen['scalar_wall_s']:.2f}x vs legacy per-instruction)"
+    )
     if args.check_baseline:
         check_against_baseline(stages, args.check_baseline, args.max_slowdown)
     return 0

@@ -159,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_gen.add_argument("--out", required=True, help="output directory for .lntr files")
     scen_gen.add_argument("--names", nargs="+", default=None, help="scenario names")
     scen_gen.add_argument("--tag", default=None, help="select scenarios by tag")
-    scen_gen.add_argument(
-        "--backend",
-        choices=("auto", "vectorized", "scalar"),
-        default="auto",
-        help="synthesis backend (bit-identical either way)",
-    )
 
     scen_run = scen_sub.add_parser(
         "run", help="Sweep scenarios across the four hierarchy types"
@@ -354,17 +348,11 @@ def _scenarios_generate(
     names: Optional[Sequence[str]],
     tag: Optional[str],
     num_instructions: int,
-    backend: str,
 ) -> None:
     from repro.scenarios import build_trace, save_trace
 
-    vectorized = {"auto": None, "vectorized": True, "scalar": False}[backend]
     os.makedirs(out, exist_ok=True)
     for spec in _select_scenarios(names, tag):
-        # Every family accepts the override; the legacy spec2006 generator
-        # is per-instruction by definition and simply ignores it.
-        if vectorized is not None:
-            spec = spec.with_params(vectorized=vectorized)
         trace = build_trace(spec, num_instructions)
         path = _trace_path(out, spec.name, num_instructions)
         size = save_trace(trace, path, extra_meta=_capture_meta(spec))
@@ -548,9 +536,7 @@ def _dispatch(args, cache, store, supervision) -> int:
             if args.scenarios_command == "list":
                 _scenarios_list(args.tag)
             elif args.scenarios_command == "generate":
-                _scenarios_generate(
-                    args.out, args.names, args.tag, args.instructions, args.backend
-                )
+                _scenarios_generate(args.out, args.names, args.tag, args.instructions)
             elif args.scenarios_command == "run":
                 _scenarios_run(
                     args.names,

@@ -7,8 +7,8 @@ subsystem (see DESIGN.md):
 * the **registry** maps family names to pluggable generators and holds
   the built-in catalog — the 21 legacy SPEC caricatures plus key-value,
   graph, stencil/BLAS, GUPS and phase-mix scenarios;
-* the **vectorized sampling engine** synthesizes traces array-at-a-time
-  (numpy when available) with a bit-identical scalar reference backend;
+* the **sampling engine** synthesizes traces from declarative models,
+  drawing whole batches of uniforms from one seeded stream;
 * the **binary trace format** captures generated traces for replay, so a
   sweep pays generation once per scenario.
 
@@ -28,7 +28,6 @@ from repro.scenarios.registry import (
     scenarios,
 )
 from repro.scenarios.sampling import (
-    HAVE_NUMPY,
     GridSweepRegion,
     Region,
     SequentialRegion,
@@ -50,7 +49,6 @@ from repro.scenarios.tracefile import (
 __all__ = [
     "GeneratorFamily",
     "GridSweepRegion",
-    "HAVE_NUMPY",
     "Region",
     "ScenarioSpec",
     "SequentialRegion",

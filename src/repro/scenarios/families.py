@@ -77,7 +77,6 @@ _LEGACY_PARAM_FIELDS = tuple(
 )
 def _spec2006(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -> Trace:
     params = merge_params("spec2006", spec.params)
-    params.pop("vectorized", None)  # the legacy path is scalar by definition
     wspec = WorkloadSpec(name=spec.name, category=spec.category, seed=spec.seed, **params)
     return generate_trace(wspec, num_instructions, seed)
 
@@ -369,7 +368,6 @@ def _column_scan(p: Mapping[str, object]) -> TraceModel:
 )
 def _phase_mix(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -> Trace:
     params = merge_params("phase-mix", spec.params)
-    vectorized = params.pop("vectorized", None)  # forwarded into every phase
     phases = tuple(params["phases"])
     phase_length = int(params["phase_length"])
     if not phases:
@@ -383,14 +381,11 @@ def _phase_mix(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -
     while remaining > 0:
         chunk = min(phase_length, remaining)
         phase = phases[phase_index % len(phases)]
-        sub_params = dict(phase.get("params", {}))
-        if vectorized is not None:
-            sub_params["vectorized"] = vectorized
         sub_spec = ScenarioSpec(
             name=f"{spec.name}#phase{phase_index}",
             family=str(phase["family"]),
             category=spec.category,
-            params=sub_params,
+            params=dict(phase.get("params", {})),
             # Decorrelate phases of the same family while staying a pure
             # function of (scenario seed, phase index).
             seed=spec.seed * 1_000_003 + phase_index,

@@ -8,7 +8,7 @@ Two registries live here:
   legacy SPEC port and the phase mixer) or with :func:`model_family`
   (declarative families that map ``params`` to a
   :class:`~repro.scenarios.sampling.TraceModel` and synthesize through
-  the shared vectorized engine).
+  the shared sampling engine).
 * **scenarios** — ``name -> ScenarioSpec``: the built-in catalog, filled
   by :mod:`repro.scenarios.families` and extensible at runtime.
 """
@@ -64,23 +64,19 @@ def model_family(
     """Decorator registering a declarative family.
 
     The decorated builder receives the merged ``default_params + spec
-    params`` mapping and returns a :class:`TraceModel`; synthesis (and the
-    ``vectorized`` override, honoured as a reserved param) is handled by
-    the shared engine.
+    params`` mapping and returns a :class:`TraceModel`; synthesis is
+    handled by the shared engine.
     """
 
     def wrap(builder: ModelBuilder) -> ModelBuilder:
         def generate(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -> Trace:
-            params = merge_params(name, spec.params)
-            vectorized = params.pop("vectorized", None)
-            model = builder(params)
+            model = builder(merge_params(name, spec.params))
             return synthesize_trace(
                 spec.name,
                 spec.category,
                 model,
                 num_instructions,
                 key=spec.trace_key(seed, num_instructions),
-                vectorized=vectorized,
             )
 
         register_family(name, doc=doc, default_params=default_params)(generate)
@@ -104,13 +100,8 @@ def families() -> List[GeneratorFamily]:
 
 
 def merge_params(family_name: str, params: Mapping[str, object]) -> Dict[str, object]:
-    """Merge ``params`` over the family defaults, rejecting unknown keys.
-
-    ``vectorized`` is accepted for every declarative family as a backend
-    override (``None``/``True``/``False``).
-    """
+    """Merge ``params`` over the family defaults, rejecting unknown keys."""
     defaults = dict(family(family_name).default_params)
-    defaults.setdefault("vectorized", None)
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigurationError(

@@ -1,60 +1,32 @@
-"""Vectorized batch trace synthesis.
+"""Batch trace synthesis from declarative models.
 
 The scenario engine describes a workload *declaratively* — a
 :class:`TraceModel` is an instruction-class mix, a dependence model, and a
 weighted set of address :class:`Region` primitives — and this module turns
 that description into a :class:`~repro.cpu.trace.Trace`.
 
-Two backends synthesize the same model:
-
-* the **vectorized** backend samples whole arrays at a time with numpy
-  (class codes, region picks, addresses, dependence distances), replacing
-  the per-instruction ``random`` calls of the legacy generator;
-* the **scalar** backend is a numpy-free reference implementation that
-  loops over instructions.
-
-Both draw their uniforms from a single :class:`UniformSource`: the source
-is seeded through :class:`random.Random` and, on the vectorized path, its
-Mersenne-Twister state is transplanted into a legacy
-:class:`numpy.random.RandomState`, whose ``random_sample`` consumes the
-generator word-for-word like ``random.random`` does.  Every stochastic
-decision is a deterministic function of those uniforms, drawn in a fixed
-array order, so for a given model and seed the two backends produce
-**bit-identical traces** — enforced by ``tests/test_scenarios.py``.
+Every uniform comes from one :class:`UniformSource`, a
+:class:`random.Random` seeded by the trace key, and is drawn in whole
+batches in a fixed order: class codes, then the region, address and
+pairing draws of the memory slots, then the dependence draws, then the
+branch outcomes.  Every stochastic decision is a deterministic function of
+those uniforms, so a model, key and length always give the same trace;
+``tests/data/scenario_manifests.json`` pins the sha256 of each catalog
+scenario's stream.
 """
 
 from __future__ import annotations
 
 import bisect
-import importlib.util
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.isa import Instruction, InstrClass
 from repro.cpu.trace import Trace
 
-#: numpy is optional and costly to import, so it is located here but only
-#: imported by the first vectorized synthesis (:func:`_numpy`).
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-
-@lru_cache(maxsize=None)
-def _numpy():
-    import numpy
-
-    return numpy
-
-#: Class codes used internally by the samplers (order of the thresholds).
-_CODE_TO_CLASS = (
-    int(InstrClass.LOAD),
-    int(InstrClass.STORE),
-    int(InstrClass.BRANCH),
-    int(InstrClass.FP_ALU),
-    int(InstrClass.INT_ALU),
-)
 _LOAD = int(InstrClass.LOAD)
 _STORE = int(InstrClass.STORE)
 _BRANCH = int(InstrClass.BRANCH)
@@ -63,31 +35,13 @@ _INSTR_CLASSES = {int(cls): cls for cls in InstrClass}
 
 
 class UniformSource:
-    """A stream of float64 uniforms in ``[0, 1)`` shared by both backends.
+    """A stream of float uniforms in ``[0, 1)`` from one seeded
+    :class:`random.Random`; ``draw(count)`` returns the next ``count``."""
 
-    ``draw(count)`` returns the next ``count`` uniforms — as a numpy array
-    when ``vectorized`` (and numpy is available), as a plain list
-    otherwise.  The underlying Mersenne-Twister sequence is identical
-    either way, which is what makes the two synthesis backends
-    bit-identical.
-    """
-
-    def __init__(self, key: str, vectorized: bool) -> None:
+    def __init__(self, key: str) -> None:
         self._rng = random.Random(key)
-        self._vectorized = vectorized and HAVE_NUMPY
-        if self._vectorized:
-            version, state, _ = self._rng.getstate()
-            if version != 3:  # pragma: no cover - CPython invariant
-                raise ConfigurationError("unexpected random.Random state version")
-            np = _numpy()
-            self._np_rng = np.random.RandomState()
-            self._np_rng.set_state(
-                ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1])
-            )
 
-    def draw(self, count: int):
-        if self._vectorized:
-            return self._np_rng.random_sample(count)
+    def draw(self, count: int) -> List[float]:
         rand = self._rng.random
         return [rand() for _ in range(count)]
 
@@ -210,13 +164,6 @@ def _zipf_cdf(num_items: int, exponent: float) -> Tuple[float, ...]:
 
 
 @lru_cache(maxsize=64)
-def _zipf_cdf_array(num_items: int, exponent: float):
-    """ndarray form of :func:`_zipf_cdf`, cached separately so the
-    vectorized backend does not re-convert a large tuple per build."""
-    return _numpy().asarray(_zipf_cdf(num_items, exponent))
-
-
-@lru_cache(maxsize=64)
 def _tap_tables(taps: Tuple[Tuple[int, float], ...]) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
     total = sum(weight for _, weight in taps)
     running = 0.0
@@ -302,8 +249,7 @@ def _build_trace(
 ) -> Trace:
     classes = _INSTR_CLASSES
     fp_code = _FP
-    # Positional construction: this loop is the hot path of trace
-    # synthesis once the sampling itself is vectorized.
+    # Positional construction: this loop is a hot path of trace synthesis.
     instructions = [
         Instruction(
             classes[kind], addr, d1, d2,
@@ -316,121 +262,8 @@ def _build_trace(
     return Trace(name=name, category=category, instructions=instructions)
 
 
-# --------------------------------------------------------------------------- vectorized backend
-def _synthesize_numpy(model: TraceModel, n: int, source: UniformSource):
-    np = _numpy()
-    c_load, c_store, c_branch, c_fp = _class_thresholds(model)
-    thresholds = np.array([c_load, c_store, c_branch, c_fp])
-    codes = np.searchsorted(thresholds, source.draw(n), side="right")
-    kinds = np.array(_CODE_TO_CLASS, dtype=np.int64)[codes]
-
-    mem_mask = (kinds == _LOAD) | (kinds == _STORE)
-    mem_idx = np.nonzero(mem_mask)[0]
-    num_mem = int(mem_idx.size)
-
-    u_region = np.asarray(source.draw(num_mem))
-    u_addr = np.asarray(source.draw(num_mem))
-    u_pair = np.asarray(source.draw(num_mem))
-
-    region_cdf = np.array(model.region_cdf())
-    picks = np.minimum(
-        np.searchsorted(region_cdf, u_region, side="right"), len(model.regions) - 1
-    )
-
-    addrs_mem = np.zeros(num_mem, dtype=np.int64)
-    transient_mem = np.zeros(num_mem, dtype=bool)
-    for index, region in enumerate(model.regions):
-        mask = picks == index
-        count = int(np.count_nonzero(mask))
-        if not count:
-            continue
-        u = u_addr[mask]
-        occurrence = np.arange(count, dtype=np.int64)
-        if isinstance(region, UniformRegion):
-            slots = region.span_bytes // region.align
-            offsets = (u * slots).astype(np.int64) * region.align
-        elif isinstance(region, ZipfRegion):
-            cdf = _zipf_cdf_array(region.num_items, region.exponent)
-            items = np.minimum(
-                np.searchsorted(cdf, u, side="right"), region.num_items - 1
-            )
-            offsets = items.astype(np.int64) * region.item_bytes
-        elif isinstance(region, SequentialRegion):
-            offsets = (occurrence * region.stride) % (region.slots * region.stride)
-        elif isinstance(region, GridSweepRegion):
-            tap_cdf, tap_offsets = _tap_tables(region.taps)
-            tap_idx = np.minimum(
-                np.searchsorted(np.asarray(tap_cdf), u, side="right"),
-                len(tap_offsets) - 1,
-            )
-            cells = (occurrence % region.cells) + np.asarray(tap_offsets, dtype=np.int64)[tap_idx]
-            offsets = (cells % region.cells) * region.elem_bytes
-        else:  # pragma: no cover - guarded by Region registration
-            raise ConfigurationError(f"unknown region type {type(region).__name__}")
-        addrs_mem[mask] = region.base + offsets
-        transient_mem[mask] = region.transient
-
-    # Previous-load tracking (strictly before each memory slot) for
-    # pointer chasing and read-modify-write pairing.
-    dep1_mem = np.zeros(num_mem, dtype=np.int64)
-    if num_mem:
-        is_load_mem = kinds[mem_idx] == _LOAD
-        slot_of_load = np.where(is_load_mem, np.arange(num_mem, dtype=np.int64), -1)
-        prev_load_slot = np.empty(num_mem, dtype=np.int64)
-        prev_load_slot[0] = -1
-        if num_mem > 1:
-            prev_load_slot[1:] = np.maximum.accumulate(slot_of_load)[:-1]
-        has_prev = prev_load_slot >= 0
-        safe_prev = np.maximum(prev_load_slot, 0)
-        prev_load_global = mem_idx[safe_prev]
-        if model.pointer_chase_fraction:
-            chase = is_load_mem & has_prev & (u_pair < model.pointer_chase_fraction)
-            dep1_mem[chase] = mem_idx[chase] - prev_load_global[chase]
-        if model.rmw_fraction:
-            rmw = (~is_load_mem) & has_prev & (u_pair < model.rmw_fraction)
-            addrs_mem[rmw] = addrs_mem[safe_prev][rmw]
-            transient_mem[rmw] = transient_mem[safe_prev][rmw]
-            dep1_mem[rmw] = mem_idx[rmw] - prev_load_global[rmw]
-
-    # Generic register dependences.
-    indices = np.arange(n, dtype=np.int64)
-    u_dep1 = np.asarray(source.draw(n))
-    dist1 = (np.asarray(source.draw(n)) * 8).astype(np.int64) + 1
-    u_dep2 = np.asarray(source.draw(n))
-    dist2 = (np.asarray(source.draw(n)) * 16).astype(np.int64) + 1
-
-    dep1 = np.zeros(n, dtype=np.int64)
-    dep1[mem_idx] = dep1_mem
-    generic1 = (dep1 == 0) & (u_dep1 < model.dep_density) & (dist1 <= indices)
-    dep1 = np.where(generic1, dist1, dep1)
-    dep2 = np.where(
-        (~mem_mask) & (u_dep2 < model.dep_density * 0.4) & (dist2 <= indices),
-        dist2,
-        0,
-    )
-
-    branch_idx = np.nonzero(kinds == _BRANCH)[0]
-    u_miss = np.asarray(source.draw(int(branch_idx.size)))
-    mispredicted = np.zeros(n, dtype=bool)
-    mispredicted[branch_idx] = u_miss < model.mispredict_rate
-
-    addrs = np.zeros(n, dtype=np.int64)
-    addrs[mem_idx] = addrs_mem
-    transient = np.zeros(n, dtype=bool)
-    transient[mem_idx] = transient_mem
-
-    return (
-        kinds.tolist(),
-        addrs.tolist(),
-        dep1.tolist(),
-        dep2.tolist(),
-        mispredicted.tolist(),
-        transient.tolist(),
-    )
-
-
-# --------------------------------------------------------------------------- scalar backend
-def _region_offset_scalar(region: Region, u: float, occurrence: int) -> int:
+# --------------------------------------------------------------------------- sampling
+def _region_offset(region: Region, u: float, occurrence: int) -> int:
     if isinstance(region, UniformRegion):
         slots = region.span_bytes // region.align
         return int(u * slots) * region.align
@@ -448,12 +281,10 @@ def _region_offset_scalar(region: Region, u: float, occurrence: int) -> int:
     raise ConfigurationError(f"unknown region type {type(region).__name__}")
 
 
-def _synthesize_scalar(model: TraceModel, n: int, source: UniformSource):
+def _synthesize(model: TraceModel, n: int, source: UniformSource):
     c_load, c_store, c_branch, c_fp = _class_thresholds(model)
     kinds: List[int] = []
     for u in source.draw(n):
-        # Strict < on every boundary, matching numpy's searchsorted
-        # (side="right") so the two backends agree even on exact ties.
         if u < c_load:
             kinds.append(_LOAD)
         elif u < c_store:
@@ -484,7 +315,7 @@ def _synthesize_scalar(model: TraceModel, n: int, source: UniformSource):
     for slot, index in enumerate(mem_idx):
         pick = min(bisect.bisect_right(region_cdf, u_region[slot]), last_region)
         region = model.regions[pick]
-        addr = region.base + _region_offset_scalar(region, u_addr[slot], occurrences[pick])
+        addr = region.base + _region_offset(region, u_addr[slot], occurrences[pick])
         occurrences[pick] += 1
         trans = region.transient
         is_load = kinds[index] == _LOAD
@@ -536,25 +367,17 @@ def synthesize_trace(
     model: TraceModel,
     num_instructions: int,
     key: str,
-    vectorized: Optional[bool] = None,
 ) -> Trace:
     """Synthesize ``num_instructions`` of ``model`` into a :class:`Trace`.
 
     ``key`` seeds the uniform stream (any string; the scenario registry
     derives it from the spec seed, run seed, and length exactly like the
-    legacy generator).  ``vectorized`` selects the backend: ``None`` uses
-    numpy when available, ``True`` requires it, ``False`` forces the
-    scalar reference path.  Both backends are bit-identical.
+    legacy generator).
     """
     if num_instructions < 1:
         raise ConfigurationError("a trace needs at least one instruction")
-    if vectorized and not HAVE_NUMPY:
-        raise ConfigurationError("vectorized synthesis requires numpy")
-    use_numpy = HAVE_NUMPY if vectorized is None else bool(vectorized)
-    source = UniformSource(key, vectorized=use_numpy)
-    backend = _synthesize_numpy if use_numpy else _synthesize_scalar
-    kinds, addrs, dep1, dep2, mispredicted, transient = backend(
-        model, num_instructions, source
+    kinds, addrs, dep1, dep2, mispredicted, transient = _synthesize(
+        model, num_instructions, UniformSource(key)
     )
     return _build_trace(
         name, category, kinds, addrs, dep1, dep2, mispredicted, transient,

@@ -58,7 +58,7 @@ class ScenarioSpec:
     def with_params(self, **extra: object) -> "ScenarioSpec":
         """A copy of this spec with ``extra`` merged into its params.
 
-        The canonical way to override generator knobs (e.g. the
-        ``vectorized`` backend switch) without dropping any other field.
+        The canonical way to override generator knobs (e.g. a family's
+        ``skew``) without dropping any other field.
         """
         return dataclasses.replace(self, params={**self.params, **extra})

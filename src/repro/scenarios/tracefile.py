@@ -3,7 +3,7 @@
 Large sweeps generate each trace once, save it, and replay it across every
 configuration (and every future run) — so the expensive synthesis is paid
 once per (scenario, length, seed) and the replayed stream is guaranteed
-bit-identical, even across machines and numpy versions.
+bit-identical, even across machines.
 
 Format (little-endian)::
 
@@ -201,13 +201,10 @@ class MappedTrace(Trace):
 def map_trace(path: str) -> Trace:
     """Load a trace through ``mmap`` (falls back to :func:`load_trace`).
 
-    The fallback covers ``REPRO_NO_MMAP=1`` (the kill switch), filesystems
-    that refuse to map, and empty mappings; either way the returned trace is
-    bit-identical.  Format errors (bad magic, truncation) raise exactly as
-    :func:`load_trace` would.
+    The fallback covers filesystems that refuse to map and empty mappings;
+    either way the returned trace is bit-identical.  Format errors (bad
+    magic, truncation) raise exactly as :func:`load_trace` would.
     """
-    if os.environ.get("REPRO_NO_MMAP"):
-        return load_trace(path)
     with open(path, "rb") as handle:
         meta, count = _read_header(handle, path)
         offset = handle.tell()

@@ -161,9 +161,9 @@ class TraceSource:
     """One workload's trace, described declaratively.
 
     ``signature`` is the canonical generation description (family, seed,
-    params — everything that determines the instruction stream except the
-    backend, which is bit-identical by design).  It keys the file-backed
-    pool and is stored in captured headers so stale captures are detected.
+    params — everything that determines the instruction stream).  It keys
+    the file-backed pool and is stored in captured headers so stale
+    captures are detected.
     ``None`` means the source cannot be pooled (inline traces, opaque
     factories); it still executes and is still result-cacheable through its
     content digest.
@@ -184,17 +184,11 @@ class TraceSource:
 
 
 def scenario_signature(spec: ScenarioSpec) -> Dict[str, object]:
-    """Canonical generation signature of a scenario (capture-header shape).
-
-    The ``vectorized`` backend override is excluded: both backends are
-    bit-identical by design, so a capture generated with either must
-    replay against the catalog spec without looking stale.
-    """
-    params = {key: value for key, value in spec.params.items() if key != "vectorized"}
+    """Canonical generation signature of a scenario (capture-header shape)."""
     return {
         "family": spec.family,
         "seed": spec.seed,
-        "params": _canonical(params),
+        "params": _canonical(spec.params),
     }
 
 
@@ -364,8 +358,7 @@ class TracePool:
         Pool replays are mmap-backed (:func:`~repro.scenarios.tracefile
         .map_trace`): the record bytes stay in the page cache — shared with
         every worker process mapping the same file — and decode lazily per
-        process.  Bit-identical to an eager load by construction;
-        ``REPRO_NO_MMAP=1`` forces the eager path.
+        process.  Bit-identical to an eager load by construction.
         """
         if source.signature is None:
             return source.build()

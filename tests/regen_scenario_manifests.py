@@ -1,9 +1,10 @@
 """Expected-stats manifests for the scenario catalog.
 
-Each of the 10 new catalog scenarios (tag ``"new"``) is simulated at a tiny
+Each of the 12 new catalog scenarios (tag ``"new"``) is simulated at a tiny
 instruction budget on two representative hierarchies, and the exact
 cycles / IPC / activity counters are committed to
-``tests/data/scenario_manifests.json``.  The regression test
+``tests/data/scenario_manifests.json``, beside the sha256 of each
+synthesized instruction stream (``trace_sha256``).  The regression test
 (``test_scenario_manifests.py``) regenerates the stats and compares them
 *exactly*: the whole stack — trace synthesis, both scheduler modes'
 shared semantics, every hierarchy counter — is deterministic, so any drift
@@ -17,6 +18,7 @@ Regenerate (from the repository root) after an intentional change::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Dict
@@ -121,7 +123,7 @@ def compute_manifests() -> Dict[str, object]:
     simulator itself — the plan layer's differential tests then guarantee
     every fast path matches these numbers too.
     """
-    from repro.scenarios import build_trace, scenarios
+    from repro.scenarios import build_trace, records_bytes, scenarios
     from repro.sim.runner import run_workload
 
     systems = manifest_systems()
@@ -140,6 +142,7 @@ def compute_manifests() -> Dict[str, object]:
                 "activity": result.activity,
             }
         per_system["spans"] = span_metrics(trace)
+        per_system["trace_sha256"] = hashlib.sha256(records_bytes(trace)).hexdigest()
         entries[spec.name] = per_system
     return {
         "_meta": {

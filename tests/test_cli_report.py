@@ -47,9 +47,8 @@ class TestCLI:
         assert (output / "table3_hits.csv").exists()
 
     def test_import_loads_no_heavy_optional_modules(self):
-        """``import repro.cli`` stays cheap: numpy is imported by the first
-        vectorized trace synthesis, the store, server and pool modules by
-        the commands that use them."""
+        """``import repro.cli`` stays cheap: the store, server and pool
+        modules are imported by the commands that use them."""
         heavy = ["numpy", "sqlite3", "http.server", "multiprocessing"]
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = (

@@ -602,12 +602,6 @@ class TestPlanCompilation:
         assert source.signature is None  # inline traces are not pooled
         assert source.build() is trace
 
-    def test_scenario_signature_excludes_backend_override(self):
-        spec = scenario("kv-zipf-hot")
-        assert plan.scenario_signature(spec) == plan.scenario_signature(
-            spec.with_params(vectorized=True)
-        )
-
 
 # --------------------------------------------------------------- warm report
 class TestWarmReport:

@@ -1,4 +1,6 @@
-"""Tests for the scenario engine: registry, families, sampling backends."""
+"""Tests for the scenario engine: registry, families, sampling."""
+
+import sys
 
 import pytest
 
@@ -6,7 +8,6 @@ from repro.common.errors import ConfigurationError
 from repro.cpu.isa import InstrClass
 from repro.cpu.workloads import full_suite, generate_trace, workload_by_name
 from repro.scenarios import (
-    HAVE_NUMPY,
     ScenarioSpec,
     SequentialRegion,
     TraceModel,
@@ -48,14 +49,14 @@ class TestRegistry:
 
     def test_with_params_preserves_other_fields(self):
         spec = scenario("kv-zipf-hot")
-        clone = spec.with_params(vectorized=False)
-        assert clone.params["vectorized"] is False
+        clone = spec.with_params(skew=0.5)
+        assert clone.params["skew"] == 0.5
         assert (clone.name, clone.family, clone.category, clone.seed) == (
             spec.name, spec.family, spec.category, spec.seed,
         )
         assert clone.description == spec.description
         assert clone.tags == spec.tags
-        assert "vectorized" not in spec.params  # original untouched
+        assert "skew" not in spec.params  # original untouched
 
     def test_catalog_has_legacy_and_new(self):
         legacy = scenarios("legacy")
@@ -65,6 +66,12 @@ class TestRegistry:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             merge_params("zipf-kv", {"not_a_knob": 1})
+
+    # Synthesis has one backend, so no family reserves a switch for it.
+    @pytest.mark.parametrize("family_name", ["zipf-kv", "spec2006", "phase-mix"])
+    def test_backend_switch_rejected(self, family_name):
+        with pytest.raises(ConfigurationError, match="unknown parameter"):
+            merge_params(family_name, {"vectorized": False})
 
     def test_duplicate_family_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -120,13 +127,12 @@ class TestDeterminism:
         b = build_trace(spec, 1500, seed=2)
         assert a.instructions != b.instructions
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized backend needs numpy")
     @pytest.mark.parametrize("name", NEW_FAMILY_SCENARIOS)
-    def test_vectorized_and_scalar_backends_bit_identical(self, name):
+    def test_synthesis_needs_no_numpy(self, name, monkeypatch):
         spec = scenario(name)
-        fast = build_trace(spec.with_params(vectorized=True), 2500)
-        reference = build_trace(spec.with_params(vectorized=False), 2500)
-        assert fast.instructions == reference.instructions
+        expected = build_trace(spec, 2500)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` raises
+        assert build_trace(spec, 2500).instructions == expected.instructions
 
     def test_requested_length_honoured(self):
         for name in NEW_FAMILY_SCENARIOS:

@@ -122,10 +122,9 @@ class TestMalformedFiles:
         with pytest.raises(TraceFormatError, match="records"):
             load_trace(str(path))
 
-    def test_mapped_truncated_records(self, sample_trace, tmp_path, monkeypatch):
+    def test_mapped_truncated_records(self, sample_trace, tmp_path):
         # The mmap path raises the same format error, not one from
         # reading the mapping it has just closed.
-        monkeypatch.delenv("REPRO_NO_MMAP", raising=False)
         path = tmp_path / "cut.lntr"
         save_trace(sample_trace, str(path))
         blob = path.read_bytes()

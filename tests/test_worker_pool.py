@@ -8,10 +8,12 @@ Two layers, one contract — bit-identical to sequential by construction:
   without changing a single result, and exit when their supervisor dies;
 * the **mmap trace path**: a pooled ``.lntr`` capture replayed through
   ``mmap`` decodes to exactly the bytes, digest, and instructions of the
-  eager loader (``REPRO_NO_MMAP=1`` fallback included).
+  eager loader, including its fallback on a filesystem that cannot map.
 """
 
 import dataclasses
+import errno
+import mmap
 import os
 import shutil
 import signal
@@ -431,6 +433,19 @@ class TestWorkerDescriptors:
             server.server_close()
 
 
+def refuse_mmap(monkeypatch):
+    """Make ``mmap.mmap`` raise, as on a filesystem that cannot map; the
+    returned list records each refused call."""
+    refused = []
+
+    def refuse(*args, **kwargs):
+        refused.append(args)
+        raise OSError(errno.ENODEV, "mapping not supported")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    return refused
+
+
 class TestMappedTraces:
     def test_map_trace_matches_load_trace(self, tmp_path):
         source = trace_source_for(two_workloads()[0], TINY)
@@ -445,14 +460,15 @@ class TestMappedTraces:
         assert trace_digest(mapped) == trace_digest(eager)
         assert mapped.instructions == eager.instructions  # lazy decode
 
-    def test_no_mmap_env_falls_back_bit_identically(self, tmp_path, monkeypatch):
+    def test_unmappable_file_falls_back_bit_identically(self, tmp_path, monkeypatch):
         source = trace_source_for(two_workloads()[0], TINY)
         pool = TracePool(str(tmp_path / "pool"))
         pool.fetch(source)
         path = pool.path_for(source)
         mapped = map_trace(path)
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
+        refused = refuse_mmap(monkeypatch)
         fallback = map_trace(path)
+        assert len(refused) == 1
         assert not isinstance(fallback, MappedTrace)
         assert records_bytes(fallback) == records_bytes(mapped)
         assert fallback.instructions == mapped.instructions
@@ -466,7 +482,8 @@ class TestMappedTraces:
         execute(compiled, pool=pool, trace_memo=False)  # populates the pool
         mapped = execute(compiled, pool=pool, trace_memo=False)
         assert mapped.stats.pool_loads == len(two_workloads())
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
+        refused = refuse_mmap(monkeypatch)
         eager = execute(compiled, pool=pool, trace_memo=False)
+        assert len(refused) == len(two_workloads())
         assert eager.stats.pool_loads == len(two_workloads())
         assert_identical(mapped.results, eager.results)
