@@ -27,7 +27,9 @@ stage set:
   hierarchy set-up a report pays per job — factory and prewarm, plus
   the exact count of objects one build adds — the scenario engine's
   synthesis against the legacy generator, binary trace
-  capture/replay, the repeated-sweep micro comparing the plan layer's
+  capture/replay, what one trace and its decode keep in memory — the
+  exact count of objects they add and their bytes per instruction —
+  the repeated-sweep micro comparing the plan layer's
   trace pool+memo and warm-cache paths against the direct path, the
   store-vs-cache micro holding the SQLite result store's warm hit path
   and raw query throughput against the cache tier, and the
@@ -187,6 +189,50 @@ def micro_trace_file(repeat):
         "load_wall_s": load_wall,
         "load_instructions_per_s": n / load_wall,
         "round_trip_identical": True,
+    }
+
+
+#: GC-tracked objects one trace, its decode and its resident set may add.
+#: The record section is untracked ``bytes`` and the decoded columns are a
+#: fixed set of lists and arrays, so the count does not grow with the
+#: trace; per-instruction objects would add one per instruction.
+MAX_TRACKED_OBJECTS_PER_TRACE = 16
+
+
+def micro_trace_memory():
+    """What one 50,000-instruction trace and its decode keep in memory.
+
+    Counts the objects a synthesized trace plus its decode and resident
+    set add to the garbage collector's heap — an exact counter, held to
+    ``MAX_TRACKED_OBJECTS_PER_TRACE`` by ``--check-baseline`` — and the
+    ``tracemalloc`` bytes they hold per instruction.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.scenarios import build_trace, scenario
+
+    n = 50_000
+    spec = scenario("kv-zipf-hot")
+    build_trace(spec, 500)  # the family's process-wide caches
+    gc.collect()
+    before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = build_trace(spec, n)
+        trace.decoded()
+        trace.resident_addresses()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - before
+    return {
+        "scenario": spec.name,
+        "instructions": n,
+        "tracked_objects_per_trace": tracked,
+        "bytes_per_instruction": held / n,
     }
 
 
@@ -796,6 +842,20 @@ def check_against_baseline(stages, baseline_path, max_slowdown):
                 f"build/prewarm micro regressed {build_ratio:.2f}x vs "
                 f"{baseline_path} (limit {max_slowdown:.2f}x)"
             )
+    # Trace-memory micro: the tracked-object count per trace is exact, so it
+    # is held to a fixed ceiling.
+    trace_tracked = stages["micro_trace_memory"]["tracked_objects_per_trace"]
+    print(
+        f"baseline check: a trace and its decode add {trace_tracked:,} tracked "
+        f"objects (limit {MAX_TRACKED_OBJECTS_PER_TRACE:,})"
+    )
+    if trace_tracked > MAX_TRACKED_OBJECTS_PER_TRACE:
+        raise SystemExit(
+            f"a trace and its decode add {trace_tracked:,} GC-tracked objects "
+            f"(limit {MAX_TRACKED_OBJECTS_PER_TRACE:,}): per-instruction objects?"
+        )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(_REPO_ROOT / "BENCH_micro.json"))
@@ -843,6 +903,8 @@ def main(argv=None):
     stages["micro_scenario_gen"] = micro_scenario_gen(args.repeat)
     print("micro: binary trace save/load ...", flush=True)
     stages["micro_trace_file"] = micro_trace_file(args.repeat)
+    print("micro: trace memory ...", flush=True)
+    stages["micro_trace_memory"] = micro_trace_memory()
     print("micro: hierarchy build and prewarm ...", flush=True)
     stages["micro_build_prewarm"] = micro_build_prewarm(args.repeat)
     print("micro: repeated sweep (direct vs pool+memo vs cached) ...", flush=True)
@@ -917,6 +979,11 @@ def main(argv=None):
             for name, entry in build["systems"].items()
         )
         + f"): at most {build['max_tracked_objects_per_build']:,} tracked objects per build"
+    )
+    memory = stages["micro_trace_memory"]
+    print(
+        f"trace memory: {memory['bytes_per_instruction']:.0f} B per instruction, "
+        f"{memory['tracked_objects_per_trace']} tracked objects per trace"
     )
     gen = stages["micro_scenario_gen"]
     print(

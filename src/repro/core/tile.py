@@ -1,18 +1,18 @@
 """A single L-NUCA tile.
 
 A tile is an 8 KB, 2-way, one-cycle cache bank plus the small amount of
-network state the paper attaches to it (Fig. 3): a Miss Address (MA)
-register for the incoming search request, downstream (D) buffers on its
-incoming Transport links, and upstream (U) buffers on its incoming
+network state the paper attaches to it (Fig. 3): downstream (D) buffers on
+its incoming Transport links and upstream (U) buffers on its incoming
 Replacement links.  The tile performs a cache access and one hop of routing
 within a single processor cycle; the surrounding
 :class:`~repro.core.lnuca.LightNUCA` controller orchestrates when each tile
-does what.
+does what.  The paper's Miss Address (MA) register, which latches the
+incoming search request, has no state here: the controller tracks each
+search wave's frontier itself (``LightNUCA._waves``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cache.array import SetAssociativeArray
@@ -25,17 +25,8 @@ from repro.sim.stats import Stats
 Coordinate = Tuple[int, int]
 
 
-@dataclass
-class SearchProbe:
-    """A miss request latched in a tile's MA register for the next cycle."""
-
-    block_addr: int
-    wave_id: int
-    arrival_cycle: int
-
-
 class Tile:
-    """One L-NUCA tile: cache array + MA register + D/U input buffers."""
+    """One L-NUCA tile: cache array + D/U input buffers."""
 
     def __init__(self, coord: Coordinate, config: TileConfig, buffer_depth: int = 2) -> None:
         self.coord = coord
@@ -51,7 +42,6 @@ class Tile:
         self.u_in: Dict[Coordinate, FlowControlBuffer] = {}
         self._u_in_items: Optional[list] = None  # lazy items() cache
         self.buffer_depth = buffer_depth
-        self.ma_register: Optional[SearchProbe] = None
         # A hit whose transport injection was blocked (all output D channels
         # Off).  The paper handles this with a contention-marked search
         # message; the model retries the injection next cycle and counts the
@@ -73,22 +63,6 @@ class Tile:
         return buffer
 
     # ------------------------------------------------------------------ search
-    def latch_search(self, probe: SearchProbe) -> bool:
-        """Latch a search request into the MA register.
-
-        Returns False when the register is already occupied for that cycle
-        (a structural hazard the controller resolves by delaying the wave).
-        """
-        if self.ma_register is not None:
-            return False
-        self.ma_register = probe
-        return True
-
-    def clear_search(self) -> Optional[SearchProbe]:
-        """Consume and return the latched search request."""
-        probe, self.ma_register = self.ma_register, None
-        return probe
-
     def lookup(self, block_addr: int, cycle: int) -> Optional[CacheBlock]:
         """Search the tag array for ``block_addr`` (one search per cycle)."""
         counters = self.stats._counters  # hot: one probe per searched tile

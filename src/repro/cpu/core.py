@@ -138,7 +138,7 @@ class OoOCore:
         # Per-instruction scheduling state, indexed by dynamic instruction
         # number (flat lists: the keys are dense 0..n-1, so list probes beat
         # dict hashing in the per-instruction hot paths).
-        trace_len = len(trace.instructions)
+        trace_len = len(trace)
         self._complete_cycle: List[Optional[int]] = [None] * trace_len
         self._unresolved: List[int] = [0] * trace_len
         self._pending_ready: List[int] = [0] * trace_len
@@ -159,7 +159,7 @@ class OoOCore:
         # Hot-loop bindings: these run per instruction, where the repeated
         # config attribute chases are measurable.
         cfg = self.config
-        self._trace_len = len(trace.instructions)
+        self._trace_len = len(trace)
         self._fetch_width = cfg.fetch_width
         self._commit_width = cfg.commit_width
         self._int_mem_issue_width = cfg.int_mem_issue_width

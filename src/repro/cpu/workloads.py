@@ -29,8 +29,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.cpu.isa import Instruction, InstrClass
-from repro.cpu.trace import Trace
+from repro.cpu.isa import InstrClass
+from repro.cpu.trace import Trace, pack_records
+
+_INT_ALU = int(InstrClass.INT_ALU)
+_FP_ALU = int(InstrClass.FP_ALU)
+_LOAD = int(InstrClass.LOAD)
+_STORE = int(InstrClass.STORE)
+_BRANCH = int(InstrClass.BRANCH)
 
 # Disjoint base addresses for the different locality regions.
 _HOT_BASE = 0x1000_0000
@@ -144,59 +150,53 @@ def generate_trace(
         # Floating-point rounding fallback: treat as a cold access.
         return _COLD_BASE + (rng.randrange(_COLD_SPAN_BYTES) & ~0x7), True
 
-    instructions: List[Instruction] = []
-    last_load_index: Optional[int] = None
-    for index in range(num_instructions):
-        roll = rng.random()
-        if roll < spec.load_fraction:
-            kind = InstrClass.LOAD
-        elif roll < spec.load_fraction + spec.store_fraction:
-            kind = InstrClass.STORE
-        elif roll < spec.load_fraction + spec.store_fraction + spec.branch_fraction:
-            kind = InstrClass.BRANCH
-        elif rng.random() < spec.fp_fraction:
-            kind = InstrClass.FP_ALU
-        else:
-            kind = InstrClass.INT_ALU
-
-        is_memory = kind is InstrClass.LOAD or kind is InstrClass.STORE
-        addr, transient = pick_address() if is_memory else (0, False)
-        dep1 = 0
-        dep2 = 0
-        if kind is InstrClass.LOAD and spec.pointer_chase_fraction and last_load_index is not None:
-            if rng.random() < spec.pointer_chase_fraction:
-                dep1 = index - last_load_index
-        if dep1 == 0 and index > 0 and rng.random() < spec.dep_density:
-            if is_memory:
-                # Loads and stores depend on address arithmetic (an earlier
-                # ALU op), not on other loads' data — array codes keep their
-                # memory-level parallelism unless pointer_chase says so.
-                for distance in range(1, min(8, index) + 1):
-                    producer = instructions[index - distance]
-                    if producer.kind in (InstrClass.INT_ALU, InstrClass.FP_ALU):
-                        dep1 = distance
-                        break
+    def rows():
+        """One record row per instruction, in draw order; ``kinds`` is kept
+        for the dependence look-back of memory instructions."""
+        kinds: List[int] = []
+        last_load_index: Optional[int] = None
+        for index in range(num_instructions):
+            roll = rng.random()
+            if roll < spec.load_fraction:
+                kind = _LOAD
+            elif roll < spec.load_fraction + spec.store_fraction:
+                kind = _STORE
+            elif roll < spec.load_fraction + spec.store_fraction + spec.branch_fraction:
+                kind = _BRANCH
+            elif rng.random() < spec.fp_fraction:
+                kind = _FP_ALU
             else:
-                dep1 = rng.randint(1, min(8, index))
-        if not is_memory and index > 1 and rng.random() < spec.dep_density * 0.4:
-            dep2 = rng.randint(1, min(16, index))
-        latency = 4 if kind is InstrClass.FP_ALU else 1
-        mispredicted = kind is InstrClass.BRANCH and rng.random() < spec.mispredict_rate
-        instructions.append(
-            Instruction(
-                kind=kind,
-                addr=addr,
-                dep1=dep1,
-                dep2=dep2,
-                latency=latency,
-                mispredicted=mispredicted,
-                transient=transient,
-            )
-        )
-        if kind is InstrClass.LOAD:
-            last_load_index = index
+                kind = _INT_ALU
 
-    return Trace(name=spec.name, category=spec.category, instructions=instructions)
+            is_memory = kind == _LOAD or kind == _STORE
+            addr, transient = pick_address() if is_memory else (0, False)
+            dep1 = 0
+            dep2 = 0
+            if kind == _LOAD and spec.pointer_chase_fraction and last_load_index is not None:
+                if rng.random() < spec.pointer_chase_fraction:
+                    dep1 = index - last_load_index
+            if dep1 == 0 and index > 0 and rng.random() < spec.dep_density:
+                if is_memory:
+                    # Loads and stores depend on address arithmetic (an earlier
+                    # ALU op), not on other loads' data — array codes keep their
+                    # memory-level parallelism unless pointer_chase says so.
+                    for distance in range(1, min(8, index) + 1):
+                        producer = kinds[index - distance]
+                        if producer == _INT_ALU or producer == _FP_ALU:
+                            dep1 = distance
+                            break
+                else:
+                    dep1 = rng.randint(1, min(8, index))
+            if not is_memory and index > 1 and rng.random() < spec.dep_density * 0.4:
+                dep2 = rng.randint(1, min(16, index))
+            latency = 4 if kind == _FP_ALU else 1
+            mispredicted = kind == _BRANCH and rng.random() < spec.mispredict_rate
+            kinds.append(kind)
+            if kind == _LOAD:
+                last_load_index = index
+            yield kind, addr, dep1, dep2, latency, mispredicted, transient
+
+    return Trace(spec.name, spec.category, pack_records(rows()))
 
 
 # --------------------------------------------------------------------------- suites

@@ -112,8 +112,9 @@ def _generate_report_inner(
             ),
             "scenarios": (
                 "Fig. 6 sweeps the scenario-engine catalog (repro.scenarios.families."
-                "default_sweep); each ScenarioSpec carries a fixed seed and synthesis "
-                "is bit-identical across backends"
+                "default_sweep); each ScenarioSpec carries a fixed seed and each "
+                "catalog stream is pinned by its sha256 in "
+                "tests/data/scenario_manifests.json"
             ),
         },
     }

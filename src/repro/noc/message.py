@@ -12,11 +12,8 @@ payload flit.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-_message_ids = itertools.count()
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class MessageKind(enum.Enum):
@@ -42,8 +39,6 @@ class Message:
         hops: number of link traversals so far (updated by the networks).
         flits: message length in flits; L-NUCA links are message-wide so this
             is always 1 there, while D-NUCA data messages span several flits.
-        request_id: id of the originating :class:`MemoryRequest`, when the
-            message is part of servicing a core request.
     """
 
     kind: MessageKind
@@ -53,9 +48,6 @@ class Message:
     dirty: bool = False
     hops: int = 0
     flits: int = 1
-    request_id: Optional[int] = None
-    contention_marked: bool = False
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def age(self, cycle: int) -> int:
         """Return how many cycles the message has existed."""

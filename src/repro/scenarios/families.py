@@ -375,7 +375,7 @@ def _phase_mix(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -
     if phase_length < 1:
         raise ConfigurationError("phase_length must be positive")
 
-    instructions = []
+    sections = []
     remaining = num_instructions
     phase_index = 0
     while remaining > 0:
@@ -390,10 +390,10 @@ def _phase_mix(spec: ScenarioSpec, num_instructions: int, seed: Optional[int]) -
             # function of (scenario seed, phase index).
             seed=spec.seed * 1_000_003 + phase_index,
         )
-        instructions.extend(build_trace(sub_spec, chunk, seed).instructions)
+        sections.append(build_trace(sub_spec, chunk, seed).records)
         remaining -= chunk
         phase_index += 1
-    return Trace(name=spec.name, category=spec.category, instructions=instructions)
+    return Trace(spec.name, spec.category, b"".join(sections))
 
 
 # --------------------------------------------------------------------------- catalog

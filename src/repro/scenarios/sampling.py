@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.cpu.isa import Instruction, InstrClass
-from repro.cpu.trace import Trace
+from repro.cpu.isa import InstrClass
+from repro.cpu.trace import Trace, pack_records
 
 _LOAD = int(InstrClass.LOAD)
 _STORE = int(InstrClass.STORE)
 _BRANCH = int(InstrClass.BRANCH)
 _FP = int(InstrClass.FP_ALU)
-_INSTR_CLASSES = {int(cls): cls for cls in InstrClass}
 
 
 class UniformSource:
@@ -146,21 +146,23 @@ class GridSweepRegion(Region):
 
 
 @lru_cache(maxsize=64)
-def _zipf_cdf(num_items: int, exponent: float) -> Tuple[float, ...]:
-    """Cumulative Zipf distribution; cached because it is O(num_items)."""
+def _zipf_cdf(num_items: int, exponent: float) -> array:
+    """Cumulative Zipf distribution; cached because it is O(num_items).
+
+    An ``array('d')`` (8 bytes per item) because the cache keeps it for
+    the life of the process.
+    """
+    weights = [1.0 / float(k + 1) ** exponent for k in range(num_items)]
     total = 0.0
-    weights = []
-    for k in range(num_items):
-        w = 1.0 / float(k + 1) ** exponent
-        weights.append(w)
+    for w in weights:
         total += w
     running = 0.0
-    cdf = []
+    cdf = array("d")
     for w in weights:
         running += w / total
         cdf.append(running)
     cdf[-1] = 1.0
-    return tuple(cdf)
+    return cdf
 
 
 @lru_cache(maxsize=64)
@@ -234,32 +236,6 @@ def _class_thresholds(model: TraceModel) -> Tuple[float, float, float, float]:
     c_branch = c_store + model.branch_fraction
     c_fp = c_branch + (1.0 - c_branch) * model.fp_fraction
     return c_load, c_store, c_branch, c_fp
-
-
-def _build_trace(
-    name: str,
-    category: str,
-    kinds: Sequence[int],
-    addrs: Sequence[int],
-    dep1: Sequence[int],
-    dep2: Sequence[int],
-    mispredicted: Sequence[bool],
-    transient: Sequence[bool],
-    fp_latency: int,
-) -> Trace:
-    classes = _INSTR_CLASSES
-    fp_code = _FP
-    # Positional construction: this loop is a hot path of trace synthesis.
-    instructions = [
-        Instruction(
-            classes[kind], addr, d1, d2,
-            fp_latency if kind == fp_code else 1, miss, trans,
-        )
-        for kind, addr, d1, d2, miss, trans in zip(
-            kinds, addrs, dep1, dep2, mispredicted, transient
-        )
-    ]
-    return Trace(name=name, category=category, instructions=instructions)
 
 
 # --------------------------------------------------------------------------- sampling
@@ -379,7 +355,8 @@ def synthesize_trace(
     kinds, addrs, dep1, dep2, mispredicted, transient = _synthesize(
         model, num_instructions, UniformSource(key)
     )
-    return _build_trace(
-        name, category, kinds, addrs, dep1, dep2, mispredicted, transient,
-        model.fp_latency,
-    )
+    fp_latency = model.fp_latency
+    latencies = (fp_latency if kind == _FP else 1 for kind in kinds)
+    return Trace(name, category, pack_records(
+        zip(kinds, addrs, dep1, dep2, latencies, mispredicted, transient)
+    ))

@@ -272,12 +272,10 @@ def trace_digest(trace: Trace) -> str:
     if cached is not None:
         return cached
     digest = hashlib.sha256()
-    # len(trace), not len(trace.instructions): identical by contract, but a
-    # mapped trace answers the former from its header without decoding.
     digest.update(
         f"trace/{trace.name}\x00{trace.category}\x00{len(trace)}\x00".encode()
     )
-    digest.update(records_bytes(trace))
+    digest.update(trace.records)
     value = digest.hexdigest()
     trace._digest_cache = value
     return value

@@ -38,7 +38,7 @@ class FixedLatencyMemory(MemorySystem):
 
 def alu_trace(n, dep=0, kind=InstrClass.INT_ALU):
     instructions = [Instruction(kind=kind, dep1=dep if i else 0) for i in range(n)]
-    return Trace(name="alu", category="int", instructions=instructions)
+    return Trace.from_instructions("alu", "int", instructions)
 
 
 def mixed_trace(n):
@@ -50,7 +50,7 @@ def mixed_trace(n):
             instructions.append(Instruction(kind=InstrClass.STORE, addr=0x8000 + i * 32))
         else:
             instructions.append(Instruction(kind=InstrClass.INT_ALU, dep1=1))
-    return Trace(name="mixed", category="int", instructions=instructions)
+    return Trace.from_instructions("mixed", "int", instructions)
 
 
 class TestOoOCore:
@@ -95,7 +95,7 @@ class TestOoOCore:
                     )
                 else:
                     instructions.append(Instruction(kind=InstrClass.INT_ALU))
-            return Trace("br", "int", instructions)
+            return Trace.from_instructions("br", "int", instructions)
 
         clean = OoOCore(branch_trace(False), FixedLatencyMemory())
         clean.run()

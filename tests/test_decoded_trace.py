@@ -15,7 +15,7 @@ K = InstrClass
 
 class TestDecodedColumns:
     def test_issue_class_and_producer_columns(self):
-        trace = Trace("cls", "int", [
+        trace = Trace.from_instructions("cls", "int", [
             I(K.LOAD, addr=64),
             I(K.BRANCH, mispredicted=True),
             I(K.BRANCH),
@@ -24,10 +24,11 @@ class TestDecodedColumns:
         ])
         decoded = trace.decoded()
         assert decoded.issue_class == [1, 2, 0, 0, 0]
-        assert decoded.prod1 == [-1, -1, -1, 1, -1]
+        assert list(decoded.prod1) == [-1, -1, -1, 1, -1]
+        assert list(decoded.prod2) == [-1, -1, -1, -1, -1]
 
     def test_issue_latencies_resolution(self):
-        trace = Trace("lat", "int", [
+        trace = Trace.from_instructions("lat", "int", [
             I(K.INT_ALU, latency=1),
             I(K.INT_ALU, latency=7),   # trace latency above the floor wins
             I(K.FP_ALU, latency=1),    # FP always uses the config latency

@@ -45,7 +45,7 @@ def _streak_trace(groups: int) -> Trace:
     for _ in range(groups):
         instrs.append(I(K.LOAD, addr=RESIDENT))
         instrs.extend(I(K.INT_ALU) for _ in range(3))
-    return Trace(f"hit-streak-{groups}", "int", instrs)
+    return Trace.from_instructions(f"hit-streak-{groups}", "int", instrs)
 
 
 def _run(trace: Trace, mode: str, warm=None):
@@ -109,7 +109,7 @@ class TestStreaksOverLiveMSHR:
         for _ in range(30):
             instrs.append(I(K.LOAD, addr=RESIDENT))
             instrs.extend(I(K.INT_ALU) for _ in range(3))
-        return Trace(f"mshr-live-{re_access}", "int", instrs)
+        return Trace.from_instructions(f"mshr-live-{re_access}", "int", instrs)
 
     def test_streak_behind_outstanding_miss_bit_identical(self):
         _, hierarchy = _run(self._mshr_live_trace(False), "event", warm=[RESIDENT])
@@ -136,7 +136,7 @@ class TestShortStreaks:
             instrs.extend(I(K.INT_ALU) for _ in range(3))
             instrs.append(I(K.LOAD, addr=FAR + i * 4096))
             instrs.extend(I(K.INT_ALU) for _ in range(3))
-        _assert_identical(Trace("short-streaks", "int", instrs), warm=[RESIDENT])
+        _assert_identical(Trace.from_instructions("short-streaks", "int", instrs), warm=[RESIDENT])
 
 
 _N = 4000
@@ -174,7 +174,7 @@ class TestInstructionBound:
                 I(K.INT_ALU, dep1=1, dep2=16 if depth == 14 else 0)
             )
         instructions.extend(I(K.INT_ALU) for _ in range(600))
-        trace = Trace("committed-producer", "int", instructions)
+        trace = Trace.from_instructions("committed-producer", "int", instructions)
         dense_core = OoOCore(trace, build_conventional_hierarchy())
         simulate(dense_core, mode="dense")
         event_core = OoOCore(trace, build_conventional_hierarchy())

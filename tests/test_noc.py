@@ -24,9 +24,6 @@ class TestMessage:
         message = make_message(cycle=5)
         assert message.age(12) == 7
 
-    def test_unique_ids(self):
-        assert make_message().msg_id != make_message().msg_id
-
     def test_default_single_flit(self):
         assert make_message().flits == 1
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import LNUCAConfig, TileConfig
 from repro.core.geometry import ROOT, LNUCAGeometry
 from repro.core.networks import ReplacementNetwork, SearchNetwork, TransportNetwork
-from repro.core.tile import SearchProbe, Tile
+from repro.core.tile import Tile
 from repro.common.errors import ConfigurationError
 from repro.noc.message import Message, MessageKind
 
@@ -58,14 +58,6 @@ class TestLNUCAConfig:
 
 
 class TestTileSearch:
-    def test_latch_and_clear(self):
-        tile = make_tile()
-        probe = SearchProbe(block_addr=0x100, wave_id=1, arrival_cycle=3)
-        assert tile.latch_search(probe)
-        assert not tile.latch_search(probe)  # structural hazard
-        assert tile.clear_search() is probe
-        assert tile.ma_register is None
-
     def test_lookup_counts_energy_events(self):
         tile = make_tile()
         tile.lookup(0x100, cycle=0)

@@ -46,25 +46,22 @@ class TestRoundTrip:
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_extreme_field_values_survive(self, tmp_path):
-        trace = Trace(
-            name="edge",
-            category="int",
-            instructions=[
-                Instruction(
-                    kind=InstrClass.LOAD,
-                    addr=(1 << 64) - 8,
-                    dep1=(1 << 32) - 1,
-                    dep2=7,
-                    latency=65535,
-                    mispredicted=False,
-                    transient=True,
-                ),
-                Instruction(kind=InstrClass.BRANCH, mispredicted=True),
-            ],
-        )
+        instructions = [
+            Instruction(
+                kind=InstrClass.LOAD,
+                addr=(1 << 64) - 8,
+                dep1=(1 << 32) - 1,
+                dep2=7,
+                latency=65535,
+                mispredicted=False,
+                transient=True,
+            ),
+            Instruction(kind=InstrClass.BRANCH, mispredicted=True),
+        ]
+        trace = Trace.from_instructions("edge", "int", instructions)
         path = str(tmp_path / "edge.lntr")
         save_trace(trace, path)
-        assert load_trace(path).instructions == trace.instructions
+        assert load_trace(path).instructions == instructions
 
     def test_replayed_trace_supports_trace_api(self, sample_trace, tmp_path):
         path = str(tmp_path / "api.lntr")

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import build_trace, scenario
-from repro.scenarios.tracefile import MappedTrace, load_trace, map_trace, records_bytes
+from repro.scenarios.tracefile import load_trace, map_trace, records_bytes
 from repro.sim import faults, plan
 from repro.sim.configs import (
     conventional_spec,
@@ -313,7 +313,8 @@ class TestOneJobRunner:
         bytes_ref = ("bytes", trace.name, trace.category, records_bytes(trace))
         by_path = plan._payload_trace({"trace_ref": path_ref}, OrderedDict())
         by_bytes = plan._payload_trace({"trace_ref": bytes_ref}, OrderedDict())
-        assert isinstance(by_path, MappedTrace)
+        assert isinstance(by_path.records.obj, mmap.mmap)  # a view of the pool file
+        assert isinstance(by_bytes.records, bytes)
         assert records_bytes(by_path) == records_bytes(by_bytes) == records_bytes(trace)
         assert trace_digest(by_path) == trace_digest(by_bytes) == digest
 
@@ -454,11 +455,12 @@ class TestMappedTraces:
         path = pool.path_for(source)
         eager = load_trace(path)
         mapped = map_trace(path)
-        assert isinstance(mapped, MappedTrace)
+        assert isinstance(mapped.records.obj, mmap.mmap)  # a view of the mapping
+        assert isinstance(eager.records, bytes)
         assert len(mapped) == len(eager.instructions)
         assert records_bytes(mapped) == records_bytes(eager)
         assert trace_digest(mapped) == trace_digest(eager)
-        assert mapped.instructions == eager.instructions  # lazy decode
+        assert mapped.instructions == eager.instructions  # decoded on demand
 
     def test_unmappable_file_falls_back_bit_identically(self, tmp_path, monkeypatch):
         source = trace_source_for(two_workloads()[0], TINY)
@@ -469,7 +471,7 @@ class TestMappedTraces:
         refused = refuse_mmap(monkeypatch)
         fallback = map_trace(path)
         assert len(refused) == 1
-        assert not isinstance(fallback, MappedTrace)
+        assert isinstance(fallback.records, bytes)
         assert records_bytes(fallback) == records_bytes(mapped)
         assert fallback.instructions == mapped.instructions
 
