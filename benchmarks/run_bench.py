@@ -33,8 +33,8 @@ stage set:
   trace pool+memo and warm-cache paths against the direct path, the
   store-vs-cache micro holding the SQLite result store's warm hit path
   and raw query throughput against the cache tier, and the
-  parallel-sweep micro A/B-ing the persistent worker pool against the
-  historical fork-per-sweep path);
+  parallel-sweep micro timing ``--workers 2`` sweeps on the persistent
+  worker pool);
 * ``fig4_sweep`` — the bench-sized Fig. 4 sweep (sizes from
   ``benchmarks/conftest.py``) in dense and event mode, passes interleaved
   (dense, event, dense, event ...), with a bit-identical-stats assertion
@@ -300,8 +300,8 @@ def micro_build_prewarm(repeat):
 def micro_sweep_cached(repeat, instructions=2000):
     """Repeated-sweep micro: the plan layer's fast paths vs the direct path.
 
-    Models the sweep-service pattern the run-plan layer targets: the same
-    (system, workload) sweep executed repeatedly in one process.  Three
+    Models the pattern the run-plan layer targets: the same (system,
+    workload) sweep executed repeatedly in one process.  Three
     paths over the identical plan, all bit-identical by construction:
 
     * ``direct`` — fresh build, per-job prewarm, per-job synthesis (the
@@ -424,8 +424,8 @@ def micro_store_query(repeat, instructions=2000):
     stage runs the identical warm sweep from the store tier and from the
     cache tier, interleaved A/B per round (as in ``micro_sweep_cached``)
     to cancel wall-clock drift, asserts both bit-identical to the cold
-    run, and measures the raw ``query`` endpoint's throughput — the cost
-    of a ``GET /results`` against the service.
+    run, and measures the raw ``query`` throughput — the cost of one
+    ``repro store query``.
     """
     import tempfile
 
@@ -503,26 +503,16 @@ def micro_store_query(repeat, instructions=2000):
 
 
 def micro_parallel_sweep(repeat, instructions=2000, workers=2):
-    """Shared-state parallel execution vs the fork-per-sweep path, A/B.
+    """``--workers N`` sweeps on the persistent worker pool.
 
-    The persistent-pool leg (A) runs ``--workers N`` sweeps on pooled
-    workers that keep their decoded traces across sweeps and read pooled
-    traces through ``mmap``; the fork-per-sweep leg (B) disables reuse
-    (``REPRO_NO_POOL=1``), reproducing the historical per-sweep
-    behaviour: every sweep forks fresh workers.  Rounds are interleaved
-    (A/B per round) to cancel wall-clock drift, the result cache is
-    wiped before every round so each run actually simulates, and both
-    legs are asserted bit-identical to the sequential reference.
-
-    The stage also measures two *distinct* concurrent sweeps launched
-    from threads against the same sweeps run back-to-back.  With the
-    fork lock gone they interleave freely; the combined-vs-sum ratio is
-    recorded (not asserted — a single-core box legitimately sits near
-    1.0) while the cross-sweep bit-identity is asserted hard.
+    Each timed round runs the sweep on pooled workers that keep their
+    decoded traces across sweeps and read pooled traces through
+    ``mmap``.  The result cache is wiped before every round so each run
+    actually simulates, the warm rounds must reuse pool workers, and the
+    results are asserted bit-identical to the sequential reference.
     """
     import shutil
     import tempfile
-    import threading
 
     from repro.sim import plan as plan_module
 
@@ -531,10 +521,7 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
 
     specs = select_workloads(1)
     builders = conventional_builders()
-    names = sorted(builders)
-    half_a = {name: builders[name] for name in names[: len(names) // 2]}
-    half_b = {name: builders[name] for name in names[len(names) // 2:]}
-    compiled = lambda chosen: plan_module.compile_sweep(chosen, specs, instructions)  # noqa: E731
+    compiled = lambda: plan_module.compile_sweep(builders, specs, instructions)  # noqa: E731
 
     pinned = os.environ.get("REPRO_SIM_VERSION")
     os.environ["REPRO_SIM_VERSION"] = "bench-local"
@@ -548,85 +535,20 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
                 # keep the pooled traces.
                 shutil.rmtree(results_dir, ignore_errors=True)
 
-            baseline = plan_module.execute(compiled(builders)).results
-
             def pooled():
-                return plan_module.execute(
-                    compiled(builders), cache=cache, workers=workers
-                )
+                return plan_module.execute(compiled(), cache=cache, workers=workers)
 
-            def fork_per_sweep():
-                os.environ["REPRO_NO_POOL"] = "1"
-                try:
-                    return plan_module.execute(
-                        compiled(builders), cache=cache, workers=workers
-                    )
-                finally:
-                    os.environ.pop("REPRO_NO_POOL", None)
-
-            # Warm the trace pool once.
-            fresh_round()
-            pooled()
-
-            pooled_wall = fork_wall = None
-            pooled_run = fork_run = None
+            baseline = plan_module.execute(compiled()).results
+            pooled()  # warms the trace pool and forks the workers
+            pooled_wall = pooled_run = None
             for _ in range(max(repeat, 3)):
                 fresh_round()
                 wall, pooled_run = _best_of(1, pooled)
                 pooled_wall = wall if pooled_wall is None else min(pooled_wall, wall)
-                fresh_round()
-                wall, fork_run = _best_of(1, fork_per_sweep)
-                fork_wall = wall if fork_wall is None else min(fork_wall, wall)
             if not pooled_run.stats.pool_reused:
                 raise AssertionError("warm rounds never reused a pool worker")
-            if fork_run.stats.pool_reused:
-                raise AssertionError("REPRO_NO_POOL leg reused a pool worker")
-
-            # Concurrent distinct sweeps: back-to-back vs threads.
-            sequential_sum = 0.0
-            for chosen in (half_a, half_b):
-                fresh_round()
-                wall, _ = _best_of(1, lambda: plan_module.execute(
-                    compiled(chosen), cache=cache, workers=workers
-                ))
-                sequential_sum += wall
-            fresh_round()
-            concurrent_runs = [None, None]
-
-            def sweep(index, chosen):
-                concurrent_runs[index] = plan_module.execute(
-                    compiled(chosen), cache=cache, workers=workers
-                )
-
-            threads = [
-                threading.Thread(target=sweep, args=(index, chosen))
-                for index, chosen in enumerate((half_a, half_b))
-            ]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            concurrent_wall = time.perf_counter() - start
-
         if not _results_identical(baseline, pooled_run.results):
             raise AssertionError("pooled parallel sweep diverged — pool bug")
-        if not _results_identical(baseline, fork_run.results):
-            raise AssertionError("fork-per-sweep leg diverged — executor bug")
-        concurrent_results = [
-            result
-            for run in concurrent_runs
-            for result in run.results
-        ]
-        by_label = {
-            (result.system, result.workload): result for result in baseline
-        }
-        reference = [
-            by_label[(result.system, result.workload)]
-            for result in concurrent_results
-        ]
-        if not _results_identical(reference, concurrent_results):
-            raise AssertionError("concurrent sweeps diverged — pool bug")
     finally:
         if pinned is None:
             os.environ.pop("REPRO_SIM_VERSION", None)
@@ -639,12 +561,7 @@ def micro_parallel_sweep(repeat, instructions=2000, workers=2):
         "instructions_per_run": instructions,
         "workers": workers,
         "pooled_wall_s": pooled_wall,
-        "fork_per_sweep_wall_s": fork_wall,
-        "pooled_speedup_vs_fork": fork_wall / pooled_wall,
         "pooled_jobs_per_s": runs / pooled_wall,
-        "sequential_sum_wall_s": sequential_sum,
-        "concurrent_wall_s": concurrent_wall,
-        "concurrent_vs_sum_ratio": concurrent_wall / sequential_sum,
         "bit_identical": True,
     }
 
@@ -911,7 +828,7 @@ def main(argv=None):
     stages["micro_sweep_cached"] = micro_sweep_cached(args.repeat, args.instructions)
     print("micro: result store vs result cache (warm hits, raw queries) ...", flush=True)
     stages["micro_store_query"] = micro_store_query(args.repeat, args.instructions)
-    print("micro: parallel sweep (persistent pool vs fork-per-sweep) ...", flush=True)
+    print("micro: parallel sweep (persistent pool) ...", flush=True)
     stages["micro_parallel_sweep"] = micro_parallel_sweep(args.repeat, args.instructions)
     print("fig4 sweep (dense vs event) ...", flush=True)
     stages["fig4_sweep"] = fig4_sweep(
@@ -964,12 +881,8 @@ def main(argv=None):
     if "pooled_wall_s" in parallel:
         print(
             f"parallel sweep ({parallel['workers']} workers): "
-            f"persistent pool {parallel['pooled_wall_s']:.2f}s, "
-            f"fork-per-sweep {parallel['fork_per_sweep_wall_s']:.2f}s "
-            f"({parallel['pooled_speedup_vs_fork']:.2f}x, bit-identical); "
-            f"two concurrent sweeps {parallel['concurrent_wall_s']:.2f}s vs "
-            f"{parallel['sequential_sum_wall_s']:.2f}s back-to-back "
-            f"({parallel['concurrent_vs_sum_ratio']:.2f}x)"
+            f"persistent pool {parallel['pooled_wall_s']:.2f}s "
+            f"({parallel['pooled_jobs_per_s']:.1f} jobs/s, bit-identical)"
         )
     build = stages["micro_build_prewarm"]
     print(

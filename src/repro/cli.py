@@ -57,24 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(result-identical to sequential; needs a fork-capable OS)",
     )
     parser.add_argument(
-        "--pool-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on idle workers kept in the persistent pool between "
-        "sweeps (default: REPRO_POOL_SIZE or 8); excess workers are "
-        "discarded instead of pooled",
-    )
-    parser.add_argument(
-        "--pool-max-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="recycle a pool worker after it has run this many jobs "
-        "(default: REPRO_POOL_MAX_JOBS, unlimited when unset); results "
-        "are bit-identical either way",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the content-addressed result cache (default location "
@@ -99,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also consult/feed the SQLite result store: cache misses are "
         "answered from it and every landed result is inserted "
         "(default path <cache dir>/results.sqlite or REPRO_STORE_PATH; "
-        "pass a PATH to override).  'serve' and 'store' subcommands "
-        "enable it automatically",
+        "pass a PATH to override).  The 'store' subcommand enables it "
+        "automatically",
     )
     parser.add_argument(
         "--progress",
@@ -208,20 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print rows as JSON lines"
     )
     store_sub.add_parser("stats", help="row counts and store file health")
-
-    serve = sub.add_parser(
-        "serve",
-        help="Run the HTTP/JSON sweep service (POST /sweeps, GET /results, "
-        "GET /healthz); repeated identical requests are answered from the "
-        "store/cache without simulating",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=8080, help="bind port (0 picks an ephemeral one)"
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request to stderr"
-    )
     return parser
 
 
@@ -245,7 +213,7 @@ def _result_store(args, default_on: bool = False):
     """The CLI's SQLite result store (``None`` unless requested).
 
     ``--store`` (optionally with a path) enables it for any command;
-    the ``serve`` and ``store`` subcommands enable it by default.
+    the ``store`` subcommand enables it by default.
     """
     if args.store is None and not default_on:
         return None
@@ -440,13 +408,11 @@ def _store_stats(store) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    from repro.sim.plan import configure_worker_pool, set_default_progress, use_store
+    from repro.sim.plan import set_default_progress, use_store
 
-    if args.pool_size is not None or args.pool_max_jobs is not None:
-        configure_worker_pool(size=args.pool_size, max_jobs=args.pool_max_jobs)
     cache = _result_cache(args)
     supervision = _supervision(args)
-    store = _result_store(args, default_on=args.command in ("serve", "store"))
+    store = _result_store(args, default_on=args.command == "store")
     if args.progress:
         set_default_progress(_progress_printer())
     try:
@@ -522,13 +488,6 @@ def _dispatch(args, cache, store, supervision) -> int:
             _store_query(store, args)
         elif args.store_command == "stats":
             _store_stats(store)
-    elif args.command == "serve":
-        from repro.service import SweepManager, serve
-
-        manager = SweepManager(
-            cache=cache, store=store, workers=args.workers, supervision=supervision,
-        )
-        serve(args.host, args.port, manager, verbose=args.verbose)
     elif args.command == "scenarios":
         from repro.common.errors import ConfigurationError
 

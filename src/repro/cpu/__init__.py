@@ -10,8 +10,8 @@ SPEC are available offline, so this package substitutes:
 * :mod:`repro.cpu.core` — a cycle-level out-of-order core with the Table I
   front-end/back-end widths, ROB, issue windows, LSQ, store buffer and
   branch-misprediction penalty;
-* :mod:`repro.cpu.inorder` — a small blocking in-order core used by tests
-  and examples where the full OoO model is unnecessary.
+* :mod:`repro.cpu.inorder` — a small blocking in-order core, kept as the
+  OoO core's sanity reference in the tests.
 
 See DESIGN.md for why this substitution preserves the paper's comparisons.
 """

@@ -1,9 +1,10 @@
 """A small blocking in-order core.
 
-Used by unit tests, examples and some ablations where the point is to
-exercise a memory system deterministically rather than to model a realistic
-processor.  Every instruction executes in program order; memory operations
-block until the memory system completes them.
+The out-of-order core's sanity reference in ``tests/test_core.py``, which
+checks that the OoO core takes no more cycles than this one on the same
+trace and memory system.  No experiment, example or ablation runs it.  Every
+instruction executes in program order; memory operations block until the
+memory system completes them.
 """
 
 from __future__ import annotations

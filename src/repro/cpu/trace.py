@@ -117,18 +117,19 @@ class DecodedTrace:
     the per-instruction issue-to-completion latency resolved against a
     core configuration's latency parameters, keyed by those parameters
     (sweeps share one config, so it is computed once and shared by every
-    run).
+    run).  It reads the trace latency field from the records the decode
+    was built from, so no raw latency column is kept.
     """
 
     __slots__ = (
-        "kind", "addr", "latency", "window", "is_mem", "issue_class", "prod1",
-        "prod2", "_lat_cache",
+        "kind", "addr", "window", "is_mem", "issue_class", "prod1", "prod2",
+        "_records", "_lat_cache",
     )
 
     def __init__(self, records) -> None:
+        self._records = records
         self.kind: List[int] = []
         self.addr: List[int] = []
-        self.latency: List[int] = []
         self.window: List[int] = []
         self.is_mem: List[bool] = []
         self.issue_class: List[int] = []
@@ -141,7 +142,6 @@ class DecodedTrace:
         self._lat_cache: Dict[tuple, List[int]] = {}
         kind_append = self.kind.append
         addr_append = self.addr.append
-        latency_append = self.latency.append
         window_append = self.window.append
         is_mem_append = self.is_mem.append
         class_append = self.issue_class.append
@@ -152,11 +152,10 @@ class DecodedTrace:
         load_code, branch_code = _LOAD_CODE, _BRANCH_CODE
         index = 0
         try:
-            for code, flags, latency, dep1, dep2, addr in _RECORD.iter_unpack(records):
+            for code, flags, _, dep1, dep2, addr in _RECORD.iter_unpack(records):
                 window_append(window_of[code])
                 kind_append(code)
                 addr_append(addr)
-                latency_append(latency)
                 is_mem_append(code in memory_codes)
                 if code == load_code:
                     class_append(ISSUE_LOAD)
@@ -199,7 +198,7 @@ class DecodedTrace:
                 (lat if lat > int_latency else int_latency)
                 if kind == int_code
                 else by_kind[kind]
-                for kind, lat in zip(self.kind, self.latency)
+                for kind, _, lat, _, _, _ in _RECORD.iter_unpack(self._records)
             ]
             self._lat_cache[key] = cached
         return cached

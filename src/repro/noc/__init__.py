@@ -1,26 +1,22 @@
-"""Generic network-on-chip building blocks.
+"""Network-on-chip building blocks.
 
-The L-NUCA networks (:mod:`repro.core.networks`) and the D-NUCA 2-D mesh
-(:mod:`repro.dnuca.mesh`) are assembled from these primitives: messages,
-two-entry store-and-forward buffers with On/Off back-pressure, unidirectional
-links, crossbars, and routing helpers.
+Messages and two-entry store-and-forward buffers with On/Off
+back-pressure are shared by the L-NUCA tiles and networks
+(:mod:`repro.core.tile`, :mod:`repro.core.networks`), which keep their own
+ports and link counters.  The D-NUCA 2-D mesh (:mod:`repro.noc.mesh`) is an
+occupancy model over dimension-order routes (:mod:`repro.noc.routing`).
 """
 
 from repro.noc.buffer import FlowControlBuffer
-from repro.noc.crossbar import Crossbar
-from repro.noc.link import Link
 from repro.noc.message import Message, MessageKind
 from repro.noc.mesh import Mesh2D
-from repro.noc.routing import dimension_order_route, manhattan_distance, random_output
+from repro.noc.routing import dimension_order_route, manhattan_distance
 
 __all__ = [
-    "Crossbar",
     "FlowControlBuffer",
-    "Link",
     "Mesh2D",
     "Message",
     "MessageKind",
     "dimension_order_route",
     "manhattan_distance",
-    "random_output",
 ]

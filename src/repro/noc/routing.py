@@ -2,20 +2,19 @@
 
 Two routing styles appear in the reproduction:
 
-* the D-NUCA mesh uses conventional dimension-order (XY) routing;
+* the D-NUCA mesh uses conventional dimension-order (XY) routing, with
+  the helpers below;
 * the L-NUCA Transport and Replacement networks use the paper's dynamic
   distributed algorithm, where every tile *randomly* selects one of its
   valid output links — because all outputs lead closer to (or, for
   replacement, farther from) the root tile, any choice is correct, and the
-  randomness spreads load better than deterministic XY routing.
+  randomness spreads load better than deterministic XY routing.  Those
+  networks pick their outputs themselves (:mod:`repro.core.networks`).
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import List, Tuple
 
 Coordinate = Tuple[int, int]
 
@@ -43,17 +42,3 @@ def dimension_order_route(src: Coordinate, dst: Coordinate) -> List[Coordinate]:
         y += step_y
         path.append((x, y))
     return path
-
-
-def random_output(choices: Sequence[T], rng: random.Random) -> T:
-    """Pick one element of ``choices`` uniformly at random.
-
-    Raises:
-        ValueError: when ``choices`` is empty — callers must check for valid
-            outputs (On buffers) before routing.
-    """
-    if not choices:
-        raise ValueError("no valid output links to choose from")
-    if len(choices) == 1:
-        return choices[0]
-    return choices[rng.randrange(len(choices))]

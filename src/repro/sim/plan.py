@@ -28,16 +28,15 @@ Fault tolerance
 
 ``execute(workers=N)`` runs uncached jobs under a **supervised executor**
 (:class:`_SupervisedExecutor`) drawing workers from a **persistent
-process-global pool** (:class:`_WorkerPool`): workers are forked lazily,
-outlive the ``execute()`` call, and are reused by later and concurrent
-sweeps — jobs ship as self-contained payloads, so no fork lock serializes
-fan-outs.  Jobs are dispatched one at a time over a per-worker pipe (a
-dead worker loses only its current job, never a chunk), every job carries
-a wall-clock timeout derived from its instruction budget, and a job whose
-worker crashes, hangs, or returns garbage is retried with exponential
-backoff on a replacement worker (the failing worker is discarded, never
-returned to the pool).  A
-job that exhausts its retries — it keeps killing workers — is
+process-global pool** (:class:`_WorkerPool`): workers are forked lazily
+from a single-threaded process, outlive the ``execute()`` call, and are
+reused by later sweeps — jobs ship as self-contained payloads.  Jobs are
+dispatched one at a time over a per-worker pipe (a dead worker loses only
+its current job, never a chunk), every job carries a wall-clock timeout
+derived from its instruction budget, and a job whose worker crashes,
+hangs, or returns garbage is retried with exponential backoff on a
+replacement worker (the failing worker is discarded, never returned to
+the pool).  A job that exhausts its retries — it keeps killing workers — is
 *quarantined*: the sweep still completes and reports a structured
 :class:`JobFailure` instead of raising (opt-in ``strict`` mode raises
 :class:`~repro.common.errors.ExecutionError`).  When forking itself keeps
@@ -194,7 +193,7 @@ def scenario_signature(spec: ScenarioSpec) -> Dict[str, object]:
 
 #: Process-global in-memory trace memo: generation-signature key -> Trace.
 #: The tier above the file-backed pool — repeated sweeps in one process
-#: (report, benchmarks, services) share the synthesized trace objects (and
+#: (report, benchmarks) share the synthesized trace objects (and
 #: with them the cached decode / resident-set / digest), instead of
 #: re-synthesizing or re-reading the pool file per sweep.  Sound because
 #: traces are immutable once generated; bounded FIFO.
@@ -791,11 +790,9 @@ class ExecutionStats:
     counts once — fault runs and clean runs report identical counts);
     ``retries`` / ``timeouts`` / ``quarantined`` count supervision
     events; ``store_hits`` counts results served by the SQLite result
-    store after a cache miss; ``inflight_hits`` counts results adopted
-    from an identical job that another thread of this process was
-    already simulating; ``workers_effective`` records
-    the peak number of processes that actually executed jobs (1 when
-    in-process), so reports show what really ran.  ``pool_reused`` counts
+    store after a cache miss; ``workers_effective`` records the peak
+    number of processes that actually executed jobs (1 when in-process),
+    so reports show what really ran.  ``pool_reused`` counts
     worker acquisitions served by an already-warm persistent-pool worker
     (instead of a fork).
     """
@@ -804,7 +801,6 @@ class ExecutionStats:
     simulated: int = 0
     cached: int = 0
     store_hits: int = 0
-    inflight_hits: int = 0
     pool_loads: int = 0
     pool_saves: int = 0
     pool_reused: int = 0
@@ -818,7 +814,6 @@ class ExecutionStats:
         self.simulated += other.simulated
         self.cached += other.cached
         self.store_hits += other.store_hits
-        self.inflight_hits += other.inflight_hits
         self.pool_loads += other.pool_loads
         self.pool_saves += other.pool_saves
         self.pool_reused += other.pool_reused
@@ -835,7 +830,7 @@ class ExecutionStats:
             f"pool_loads={self.pool_loads} "
             f"workers_effective={self.workers_effective} retries={self.retries} "
             f"timeouts={self.timeouts} quarantined={self.quarantined} "
-            f"store_hits={self.store_hits} inflight_hits={self.inflight_hits} "
+            f"store_hits={self.store_hits} "
             f"pool_reused={self.pool_reused}"
         )
 
@@ -942,66 +937,6 @@ def collect_stats():
         # By identity: ``list.remove`` matches by dataclass equality, and
         # nested collectors holding equal counts would remove each other.
         _COLLECTORS[:] = [collector for collector in _COLLECTORS if collector is not stats]
-
-
-# ------------------------------------------------------------ in-flight dedup
-class _InflightEntry:
-    """One job digest currently being simulated somewhere in this process."""
-
-    __slots__ = ("event", "result")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result: Optional[RunResult] = None
-
-
-class InflightRegistry:
-    """Process-wide registry of cache keys whose simulation is in flight.
-
-    Concurrent :func:`execute` calls (the service's sweep threads) that
-    contain the identical job — same builder digest, trace digest,
-    simulator version, run params — must not simulate it twice.  The
-    first caller to :meth:`claim` a key owns it and must
-    :meth:`resolve` (or :meth:`abandon`) it; every other caller gets the
-    owner's entry back and waits on its event instead of simulating.
-    An abandoned key (owner raised, or quarantined the job) wakes the
-    waiters with ``result=None`` and they fall back to simulating
-    themselves — dedup is an optimisation, never a correctness
-    dependency.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: Dict[str, _InflightEntry] = {}
-
-    def claim(self, key: str) -> Optional[_InflightEntry]:
-        """``None``: the caller now owns ``key`` (and must resolve it);
-        an entry: someone else owns it — wait on ``entry.event``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry
-            self._entries[key] = _InflightEntry()
-            return None
-
-    def resolve(self, key: str, result: Optional[RunResult]) -> None:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-        if entry is not None:
-            entry.result = result
-            entry.event.set()
-
-    def abandon(self, key: str) -> None:
-        self.resolve(key, None)
-
-
-#: The process singleton :func:`execute` registers in-flight jobs with.
-_INFLIGHT = InflightRegistry()
-
-
-def _copy_result(result: RunResult) -> RunResult:
-    """A deep, independent copy (results are mutable: labels get rewritten)."""
-    return _result_from_row(_result_to_row(result))
 
 
 # ----------------------------------------------------- module-default hooks
@@ -1232,7 +1167,7 @@ class _PoolWorker:
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.jobs_done = 0  #: completed jobs (recycling threshold)
+        self.jobs_done = 0  #: completed jobs (0: a fresh fork)
 
 
 class _WorkerPool:
@@ -1240,22 +1175,14 @@ class _WorkerPool:
 
     Workers are forked lazily on first demand, parked idle when a sweep's
     supervisor releases them, and handed — still warm, with their decoded
-    traces intact — to the next sweep that asks, whether
-    that sweep runs in this thread or a concurrent service thread.  Jobs
-    travel as self-contained payloads, so nothing here depends on
-    fork-time sweep state and no fork lock serializes concurrent
-    supervised fan-outs.
+    traces intact — to the next sweep that asks.  Jobs travel as
+    self-contained payloads, so nothing here depends on fork-time sweep
+    state.  At most :data:`_POOL_IDLE_CAP` idle workers are kept; a
+    release past that retires the worker.
 
     Supervision is unchanged and lives in :class:`_SupervisedExecutor`:
     a crashed, hung, or garbage-spewing worker is discarded (never
-    pooled), exactly as the fork-per-sweep executor replaced it.  Knobs:
-    ``REPRO_POOL_SIZE`` caps the idle workers retained (default
-    :data:`_POOL_SIZE_DEFAULT`), ``REPRO_POOL_MAX_JOBS`` recycles a
-    worker after that many jobs (worker lifetime; default unlimited),
-    ``REPRO_NO_POOL=1`` disables reuse entirely (every acquisition
-    forks, every release discards — the bench's fork-per-sweep A/B
-    leg).  Both knobs are overridable
-    per process via :func:`configure_worker_pool`.
+    pooled), exactly as the fork-per-sweep executor replaced it.
     """
 
     def __init__(self):
@@ -1265,34 +1192,10 @@ class _WorkerPool:
         #: fork copies them, and the new worker closes its copies.
         self._ends: "weakref.WeakSet" = weakref.WeakSet()
         self._pid = os.getpid()
-        self.size_override: Optional[int] = None
-        self.max_jobs_override: Optional[int] = None
         self.forked = 0
         self.reused = 0
         self.recycled = 0
         self.discarded = 0
-
-    def _int_knob(self, override: Optional[int], env_name: str) -> Optional[int]:
-        if override is not None:
-            return override
-        env = os.environ.get(env_name)
-        if env:
-            try:
-                return int(env)
-            except ValueError:
-                warnings.warn(
-                    f"{env_name}={env!r} is not an integer; ignoring it",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        return None
-
-    def _limit(self) -> int:
-        value = self._int_knob(self.size_override, "REPRO_POOL_SIZE")
-        return _POOL_SIZE_DEFAULT if value is None else max(0, value)
-
-    def _max_jobs(self) -> Optional[int]:
-        return self._int_knob(self.max_jobs_override, "REPRO_POOL_MAX_JOBS")
 
     def _check_pid_locked(self) -> None:
         # A forked child (a pool worker, a test harness fork) inherits
@@ -1313,11 +1216,7 @@ class _WorkerPool:
         faults.on_spawn()
         with self._lock:
             self._check_pid_locked()
-            # REPRO_NO_POOL must disable reuse symmetrically: a no-pool
-            # acquisition forking past the idle list (instead of draining
-            # and then discarding it) leaves pooled sweeps' warm workers
-            # for pooled sweeps.
-            while self._idle and not os.environ.get("REPRO_NO_POOL"):
+            while self._idle:
                 worker = self._idle.pop()
                 if worker.process.is_alive():
                     self.reused += 1
@@ -1346,7 +1245,7 @@ class _WorkerPool:
             return _PoolWorker(process, parent_conn)
 
     def release(self, worker: _PoolWorker) -> None:
-        """Park a healthy worker for reuse (or retire it per policy)."""
+        """Park a healthy worker for reuse (or retire it past the idle cap)."""
         if not worker.process.is_alive():
             self.discard(worker, kill=False)
             return
@@ -1354,17 +1253,9 @@ class _WorkerPool:
             self.recycled += 1
             self.discard(worker)
             return
-        if os.environ.get("REPRO_NO_POOL"):
-            self.discard(worker)
-            return
-        max_jobs = self._max_jobs()
-        if max_jobs is not None and worker.jobs_done >= max_jobs:
-            self.recycled += 1
-            self.discard(worker)
-            return
         with self._lock:
             self._check_pid_locked()
-            if len(self._idle) < self._limit():
+            if len(self._idle) < _POOL_IDLE_CAP:
                 self._idle.append(worker)
                 return
         self.discard(worker)
@@ -1378,7 +1269,7 @@ class _WorkerPool:
         self.discarded += 1
 
     def discard(self, worker: _PoolWorker, kill: bool = True) -> None:
-        """Retire a worker for good (dead, unhealthy, or over its limits)."""
+        """Retire a worker for good (dead, unhealthy, or past the idle cap)."""
         try:
             worker.conn.close()
         except OSError:
@@ -1421,38 +1312,21 @@ class _WorkerPool:
             }
 
 
-#: Idle workers retained when no explicit pool size is configured.
-_POOL_SIZE_DEFAULT = 8
+#: Idle workers the pool keeps between sweeps.
+_POOL_IDLE_CAP = 8
 
 #: The process singleton every supervised :func:`execute` draws from.
 _POOL = _WorkerPool()
 atexit.register(_POOL.shutdown)
 
 
-def configure_worker_pool(
-    size: Optional[int] = None, max_jobs: Optional[int] = None
-) -> None:
-    """Set the persistent pool's retention knobs for this process.
-
-    ``size`` caps idle workers retained between sweeps (overrides
-    ``REPRO_POOL_SIZE``); ``max_jobs`` recycles a worker after that many
-    completed jobs (overrides ``REPRO_POOL_MAX_JOBS``).  ``None`` leaves
-    the respective knob as configured.  Wired to the CLI's
-    ``--pool-size`` / ``--pool-max-jobs`` flags.
-    """
-    if size is not None:
-        _POOL.size_override = size
-    if max_jobs is not None:
-        _POOL.max_jobs_override = max_jobs
-
-
 def shutdown_worker_pool() -> None:
-    """Stop all idle pool workers now (tests, service shutdown)."""
+    """Stop all idle pool workers now (tests)."""
     _POOL.shutdown()
 
 
 def worker_pool_stats() -> Dict[str, int]:
-    """The pool's lifetime counters (``/healthz``, tests)."""
+    """The pool's lifetime counters (tests, the end-to-end benchmark)."""
     return _POOL.stats()
 
 
@@ -1517,7 +1391,7 @@ class _SupervisedExecutor:
 
     Workers are leased from the process-global persistent pool
     (:class:`_WorkerPool`): jobs ship as self-contained payloads
-    (``payload_for``), so a worker forked by last week's sweep serves this
+    (``payload_for``), so a worker forked by an earlier sweep serves this
     one.  Healthy workers return to the pool at shutdown; crashed, hung,
     or garbage-spewing ones are discarded — never pooled.  Jobs whose
     payload cannot ship (``transportable`` is false: ad-hoc lambda
@@ -1836,9 +1710,10 @@ def execute(
             (order-preserving and result-identical, exactly like the
             historical ``run_suite`` fan-out; falls back to in-process
             execution — with a :class:`RuntimeWarning` naming the reason —
-            without ``fork``).  Workers outlive this call and are reused
-            by later sweeps, including concurrent ones from service
-            threads (no fork lock).
+            without ``fork`` or when other threads are running, since a
+            fork taken while another thread holds a lock leaves that lock
+            held in the worker).  Workers outlive this call and are
+            reused by later sweeps.
         cache: result cache; ``None`` disables memoization.  A ``-dirty``
             or unknown simulator version bypasses a configured cache with a
             warning.  An active cache is also the sweep's checkpoint:
@@ -1853,9 +1728,8 @@ def execute(
             (defaults to :class:`SupervisionPolicy`'s defaults; an active
             fault plan may override fields for testing).
         on_result: streaming-completion hook, called as each job's result
-            becomes available (cache hit, store hit, in-flight
-            adoption, or fresh simulation; completion order
-            under workers is nondeterministic).
+            becomes available (cache hit, store hit, or fresh simulation;
+            completion order under workers is nondeterministic).
         on_progress: called as ``callback(done, total, stats)`` after
             every landed job and once more when the sweep finishes
             (defaults to the process-wide callback installed by
@@ -1863,9 +1737,7 @@ def execute(
         store: a :class:`~repro.sim.store.ResultStore` consulted after a
             cache miss and fed every landed result (defaults to the
             :func:`use_store` context's store).  The same dirty/unknown
-            version rule as the cache applies.  Jobs neither the cache
-            nor the store can answer are deduplicated against identical
-            jobs already in flight in other threads of this process.
+            version rule as the cache applies.
     """
     stats = ExecutionStats(jobs=len(plan.jobs))
     version: Optional[str] = None
@@ -1921,9 +1793,9 @@ def execute(
     core_digest = _core_config_digest(plan.core_config)
     results: List[Optional[RunResult]] = [None] * len(plan.jobs)
 
-    # Content-address every job up front: the keys name the cache entries,
-    # the store rows and the in-flight claims.  The metas carry the digest
-    # provenance the store persists per row.
+    # Content-address every job up front: the keys name the cache entries
+    # and the store rows.  The metas carry the digest provenance the store
+    # persists per row.
     keys: List[Optional[str]] = [None] * len(plan.jobs)
     metas: List[Optional[Dict[str, object]]] = [None] * len(plan.jobs)
     if active_cache is not None or active_store is not None:
@@ -1984,193 +1856,135 @@ def execute(
             continue
         pending.append((index, job, key))
 
-    # In-flight dedup: claim every addressable pending job.  Owned jobs
-    # simulate here; a job another thread already claimed waits for that
-    # thread's result instead of simulating it twice.
-    claimed: set = set()
-    owned: List[Tuple[int, JobSpec, Optional[str]]] = []
-    waiting: List[Tuple[int, JobSpec, str, _InflightEntry]] = []
     failures: List[JobFailure] = []
-    try:
+    if pending:
         for index, job, key in pending:
-            entry = _INFLIGHT.claim(key) if key is not None else None
-            if entry is None:
-                if key is not None:
-                    claimed.add(key)
-                    # Another thread may have committed and released this
-                    # key between the lookups above and the claim: look
-                    # once more, and hand the stored result to anyone who
-                    # queued behind us.
-                    if serve_stored(index, job, key):
-                        _INFLIGHT.resolve(key, _copy_result(results[index]))
-                        claimed.discard(key)
-                        continue
-                owned.append((index, job, key))
-            else:
-                waiting.append((index, job, key, entry))
+            materialize(job.trace)  # pool files land before any dispatch
+        stats.simulated = len(pending)
 
-        if pending:
-            for index, job, key in pending:
-                materialize(job.trace)  # pool files land before any dispatch
-            stats.simulated = len(owned)
+        def run_here(job: JobSpec) -> RunResult:
+            source = plan.traces[job.trace]
+            return _run_job(
+                job, plan.builders[job.builder], traces[job.trace],
+                (source.name, source.category), plan.core_config,
+            )
 
-            def run_here(job: JobSpec) -> RunResult:
-                source = plan.traces[job.trace]
-                return _run_job(
-                    job, plan.builders[job.builder], traces[job.trace],
-                    (source.name, source.category), plan.core_config,
-                )
+        def commit(index: int, job: JobSpec, key: Optional[str],
+                   result: RunResult) -> None:
+            """Checkpoint one finished job the moment it completes."""
+            results[index] = result
+            if key is not None:
+                if active_cache is not None:
+                    active_cache.put(key, result, meta=metas[index])
+                store_put(index, key, result)
+            if on_result is not None:
+                on_result(job, result)
+            faults.on_commit()
+            note_done()
 
-            def commit(index: int, job: JobSpec, key: Optional[str],
-                       result: RunResult) -> None:
-                """Checkpoint one finished job the moment it completes."""
-                results[index] = result
-                if key is not None:
-                    if active_cache is not None:
-                        active_cache.put(key, result, meta=metas[index])
-                    store_put(index, key, result)
-                    if key in claimed:
-                        # Hand waiters their own copy: results are mutable
-                        # (labels get rewritten by adopting sweeps).
-                        _INFLIGHT.resolve(key, _copy_result(result))
-                        claimed.discard(key)
-                if on_result is not None:
-                    on_result(job, result)
-                faults.on_commit()
-                note_done()
+        use_workers = workers is not None and workers > 1 and len(pending) > 1
+        if use_workers and not hasattr(os, "fork"):
+            _warn_sequential_fallback(
+                f"workers={workers} requested but the platform lacks os.fork"
+            )
+            use_workers = False
+        elif use_workers and threading.active_count() > 1:
+            _warn_sequential_fallback(
+                f"workers={workers} requested but {threading.active_count()} "
+                "threads are running (a fork taken while another thread holds "
+                "a lock leaves that lock held in the worker)"
+            )
+            use_workers = False
 
-            use_workers = workers is not None and workers > 1 and len(owned) > 1
-            if use_workers and not hasattr(os, "fork"):
-                _warn_sequential_fallback(
-                    f"workers={workers} requested but the platform lacks os.fork"
-                )
-                use_workers = False
+        if use_workers:
+            policy = _effective_policy(supervision)
+            entries = [
+                _Pending(index, job, key, seq)
+                for seq, (index, job, key) in enumerate(pending)
+            ]
+            # Jobs ship to the persistent pool as self-contained
+            # payloads; a builder must pickle by reference (registry
+            # specs do — functools.partial of module-level factories)
+            # and carry a digest.  Anything else runs in-process.
+            shippable: Dict[str, bool] = {}
 
-            if use_workers:
-                policy = _effective_policy(supervision)
-                entries = [
-                    _Pending(index, job, key, seq)
-                    for seq, (index, job, key) in enumerate(owned)
-                ]
-                # Jobs ship to the persistent pool as self-contained
-                # payloads; a builder must pickle by reference (registry
-                # specs do — functools.partial of module-level factories)
-                # and carry a digest.  Anything else runs in-process.
-                shippable: Dict[str, bool] = {}
+            def transportable(entry: _Pending) -> bool:
+                name = entry.job.builder
+                known = shippable.get(name)
+                if known is None:
+                    spec = plan.builders[name]
+                    known = spec.digest() is not None
+                    if known:
+                        try:
+                            pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+                        except Exception:
+                            known = False
+                    shippable[name] = known
+                return known
 
-                def transportable(entry: _Pending) -> bool:
-                    name = entry.job.builder
-                    known = shippable.get(name)
-                    if known is None:
-                        spec = plan.builders[name]
-                        known = spec.digest() is not None
-                        if known:
-                            try:
-                                pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
-                            except Exception:
-                                known = False
-                        shippable[name] = known
-                    return known
+            ref_cache: Dict[Tuple[str, bool], tuple] = {}
 
-                ref_cache: Dict[Tuple[str, bool], tuple] = {}
-
-                def trace_ref(entry: _Pending) -> tuple:
-                    cache_key = (entry.job.trace, entry.ship_bytes)
-                    ref = ref_cache.get(cache_key)
-                    if ref is None:
-                        trace = traces[entry.job.trace]
-                        source = plan.traces[entry.job.trace]
-                        if (
-                            not entry.ship_bytes
-                            and pool is not None
-                            and source.signature is not None
-                        ):
-                            path = pool.path_for(source)
-                            if os.path.exists(path):
-                                ref = (
-                                    "path", path, content_digest(entry.job.trace),
-                                    trace.name, trace.category,
-                                )
-                        if ref is None:
+            def trace_ref(entry: _Pending) -> tuple:
+                cache_key = (entry.job.trace, entry.ship_bytes)
+                ref = ref_cache.get(cache_key)
+                if ref is None:
+                    trace = traces[entry.job.trace]
+                    source = plan.traces[entry.job.trace]
+                    if (
+                        not entry.ship_bytes
+                        and pool is not None
+                        and source.signature is not None
+                    ):
+                        path = pool.path_for(source)
+                        if os.path.exists(path):
                             ref = (
-                                "bytes", trace.name, trace.category,
-                                records_bytes(trace),
+                                "path", path, content_digest(entry.job.trace),
+                                trace.name, trace.category,
                             )
-                        ref_cache[cache_key] = ref
-                    return ref
+                    if ref is None:
+                        ref = (
+                            "bytes", trace.name, trace.category,
+                            records_bytes(trace),
+                        )
+                    ref_cache[cache_key] = ref
+                return ref
 
-                def payload_for(entry: _Pending) -> Dict[str, object]:
-                    job = entry.job
-                    source = plan.traces[job.trace]
-                    return {
-                        "index": entry.index,
-                        "label": entry.label(),
-                        # The supervisor matches worker-job faults and
-                        # ships the action: pool workers run with no
-                        # installed plan (they may predate it).
-                        "action": faults.worker_job_action(
-                            entry.label(), entry.seq, entry.attempts
-                        ),
-                        "job": job,
-                        "labels": (source.name, source.category),
-                        "builder": plan.builders[job.builder],
-                        "trace_ref": trace_ref(entry),
-                        "core_config": plan.core_config,
-                    }
-
-                executor = _SupervisedExecutor(
-                    entries,
-                    stats,
-                    policy,
-                    lambda entry, result: commit(
-                        entry.index, entry.job, entry.key, result
+            def payload_for(entry: _Pending) -> Dict[str, object]:
+                job = entry.job
+                source = plan.traces[job.trace]
+                return {
+                    "index": entry.index,
+                    "label": entry.label(),
+                    # The supervisor matches worker-job faults and ships
+                    # the action: pool workers run with no installed
+                    # plan (they may predate it).
+                    "action": faults.worker_job_action(
+                        entry.label(), entry.seq, entry.attempts
                     ),
-                    processes=min(workers, len(owned)),
-                    payload_for=payload_for,
-                    run_local=lambda entry: run_here(entry.job),
-                    transportable=transportable,
-                )
-                failures = executor.run()
-            elif owned:
-                stats.workers_effective = max(stats.workers_effective, 1)
-                for index, job, key in owned:
-                    commit(index, job, key, run_here(job))
+                    "job": job,
+                    "labels": (source.name, source.category),
+                    "builder": plan.builders[job.builder],
+                    "trace_ref": trace_ref(entry),
+                    "core_config": plan.core_config,
+                }
 
-            if waiting:
-                # Quarantined owned jobs never committed: release their
-                # claims now so a same-key waiter below (or in another
-                # thread) falls back to simulating instead of timing out.
-                for failure in failures:
-                    failed_key = keys[failure.index]
-                    if failed_key is not None and failed_key in claimed:
-                        _INFLIGHT.abandon(failed_key)
-                        claimed.discard(failed_key)
-                policy = _effective_policy(supervision)
-                for index, job, key, entry in waiting:
-                    # Generous cap: the owner has the same per-job timeout
-                    # budget plus retries.  Dedup is best-effort — on a
-                    # timed-out or abandoned claim we simulate ourselves;
-                    # every write path is idempotent.
-                    cap = max(
-                        60.0,
-                        policy.timeout_for(job.num_instructions)
-                        * (policy.max_retries + 2),
-                    )
-                    adopted = entry.result if entry.event.wait(cap) else None
-                    if adopted is None:
-                        stats.simulated += 1
-                        stats.workers_effective = max(stats.workers_effective, 1)
-                        commit(index, job, key, run_here(job))
-                        continue
-                    result = _copy_result(adopted)
-                    result.system = job.system
-                    stats.inflight_hits += 1
-                    commit(index, job, key, result)
-    finally:
-        # Claims left over (exception mid-sweep, quarantined jobs with no
-        # same-plan waiter) must wake cross-thread waiters.
-        for key in list(claimed):
-            _INFLIGHT.abandon(key)
+            executor = _SupervisedExecutor(
+                entries,
+                stats,
+                policy,
+                lambda entry, result: commit(
+                    entry.index, entry.job, entry.key, result
+                ),
+                processes=min(workers, len(pending)),
+                payload_for=payload_for,
+                run_local=lambda entry: run_here(entry.job),
+                transportable=transportable,
+            )
+            failures = executor.run()
+        else:
+            stats.workers_effective = max(stats.workers_effective, 1)
+            for index, job, key in pending:
+                commit(index, job, key, run_here(job))
 
     if progress is not None:
         progress(done, total, stats)

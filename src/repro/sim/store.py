@@ -15,7 +15,7 @@ goes through the same ``_result_to_row``/``_result_from_row`` pair the
 cache uses.
 
 Placement in the lookup ladder (see :func:`repro.sim.plan.execute`):
-cache hit → **store hit** → in-flight adoption → simulation.  Every
+cache hit → **store hit** → simulation.  Every
 landed result is fed back, so the store converges on everything the
 process has ever computed; ``repro store ingest`` ETLs pre-existing
 cache entries in bulk.
@@ -233,8 +233,8 @@ class ResultStore:
             conn.close()
             raise
         with self._lock:
-            # The service runs each sweep in a thread of its own: close
-            # what finished threads left behind, so handles do not pile up.
+            # A caller may use the store from many threads: close what
+            # finished threads left behind, so handles do not pile up.
             finished = self._take_finished()
             self._connections.append((conn, threading.current_thread()))
         _close_quietly(finished)
@@ -308,10 +308,10 @@ class ResultStore:
         """Insert one result row; returns True when the row is new.
 
         First writer wins (``INSERT OR IGNORE``): concurrent identical
-        writers — the service's sweep threads — are harmless.  A corrupt
-        database is quarantined and the write retried once on the fresh
-        file; persistent IO failure degrades to a no-op with a warning,
-        exactly like the cache's write path.
+        writers — threads or processes sharing one file — are harmless.
+        A corrupt database is quarantined and the write retried once on
+        the fresh file; persistent IO failure degrades to a no-op with a
+        warning, exactly like the cache's write path.
         """
         meta = meta or {}
         row = (
@@ -483,7 +483,7 @@ class ResultStore:
         ]
 
     def stats(self) -> Dict[str, object]:
-        """Row counts and distinct-dimension counts (for healthz / CLI)."""
+        """Row counts and distinct-dimension counts (for ``repro store stats``)."""
         try:
             conn = self._conn()
             (rows,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.request import AccessType, MemoryRequest
+from repro.common.errors import SimulationError
 from repro.cpu.core import CoreConfig, OoOCore
 from repro.cpu.inorder import SimpleInOrderCore
 from repro.cpu.isa import Instruction, InstrClass
@@ -166,3 +167,33 @@ class TestInOrderCore:
         slow = SimpleInOrderCore(mixed_trace(100), FixedLatencyMemory(latency=50))
         slow.run()
         assert slow.cycle > fast.cycle + 1000
+
+    @pytest.mark.parametrize("latency", [0, 1, 3])
+    def test_alu_latencies_are_serialised(self, latency):
+        trace = Trace.from_instructions(
+            "alu", "int",
+            [Instruction(kind=InstrClass.INT_ALU, latency=latency)] * 40,
+        )
+        core = SimpleInOrderCore(trace, FixedLatencyMemory())
+        summary = core.run()
+        # One instruction at a time, each at least a cycle.
+        assert core.cycle == 40 * max(1, latency)
+        assert summary["ipc"] == pytest.approx(1 / max(1, latency))
+
+    def test_memory_that_never_accepts_is_reported(self):
+        class NeverAccepts(FixedLatencyMemory):
+            def can_accept(self, cycle, access):
+                return False
+
+        core = SimpleInOrderCore(mixed_trace(8), NeverAccepts())
+        with pytest.raises(SimulationError, match="stalled forever"):
+            core.run(max_cycles=50)
+
+    def test_request_that_never_completes_is_reported(self):
+        class NeverCompletes(FixedLatencyMemory):
+            def issue(self, addr, access, cycle):
+                return MemoryRequest(addr=addr, access=access, issue_cycle=cycle)
+
+        core = SimpleInOrderCore(mixed_trace(8), NeverCompletes())
+        with pytest.raises(SimulationError, match="never completed"):
+            core.run(max_cycles=50)

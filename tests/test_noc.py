@@ -1,18 +1,14 @@
 """Unit tests for the network-on-chip building blocks."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.noc.buffer import FlowControlBuffer
-from repro.noc.crossbar import Crossbar
-from repro.noc.link import Link
 from repro.noc.mesh import Mesh2D
 from repro.noc.message import Message, MessageKind
-from repro.noc.routing import dimension_order_route, manhattan_distance, random_output
+from repro.noc.routing import dimension_order_route, manhattan_distance
 
 
 def make_message(addr=0x100, kind=MessageKind.TRANSPORT, cycle=0):
@@ -86,65 +82,6 @@ class TestFlowControlBuffer:
         assert buffer.total_occupancy_cycles == 2
 
 
-class TestLink:
-    def test_send_increments_hops_and_traversals(self):
-        buffer = FlowControlBuffer(2)
-        link = Link((0, 0), (0, 1), buffer)
-        message = make_message()
-        link.send(message, cycle=3)
-        assert message.hops == 1
-        assert link.traversals == 1
-        assert buffer.peek() is message
-
-    def test_one_message_per_cycle(self):
-        buffer = FlowControlBuffer(4)
-        link = Link((0, 0), (0, 1), buffer)
-        link.send(make_message(), cycle=1)
-        assert not link.can_send(1)
-        with pytest.raises(ConfigurationError):
-            link.send(make_message(), cycle=1)
-        assert link.can_send(2)
-
-    def test_cannot_send_when_buffer_off(self):
-        buffer = FlowControlBuffer(1)
-        link = Link((0, 0), (0, 1), buffer)
-        link.send(make_message(), cycle=0)
-        assert not link.can_send(1)
-        with pytest.raises(ConfigurationError):
-            link.send(make_message(), cycle=1)
-
-    def test_invalid_width(self):
-        with pytest.raises(ConfigurationError):
-            Link((0, 0), (0, 1), FlowControlBuffer(1), width_bytes=0)
-
-
-class TestCrossbar:
-    def test_output_usable_once_per_cycle(self):
-        xbar = Crossbar(3, 2)
-        assert xbar.output_free(0, cycle=4)
-        xbar.traverse(0, cycle=4)
-        assert not xbar.output_free(0, cycle=4)
-        assert xbar.output_free(0, cycle=5)
-        assert xbar.output_free(1, cycle=4)
-
-    def test_double_traverse_rejected(self):
-        xbar = Crossbar(2, 2)
-        xbar.traverse(1, cycle=0)
-        with pytest.raises(ConfigurationError):
-            xbar.traverse(1, cycle=0)
-
-    def test_out_of_range_output(self):
-        xbar = Crossbar(2, 2)
-        with pytest.raises(ConfigurationError):
-            xbar.traverse(5, cycle=0)
-
-    def test_traversal_count(self):
-        xbar = Crossbar(2, 2)
-        xbar.traverse(0, 0)
-        xbar.traverse(1, 0)
-        assert xbar.traversals == 2
-
-
 class TestRouting:
     def test_manhattan_distance(self):
         assert manhattan_distance((0, 0), (3, 4)) == 7
@@ -161,18 +98,22 @@ class TestRouting:
     def test_route_to_self_is_empty(self):
         assert dimension_order_route((2, 2), (2, 2)) == []
 
-    def test_random_output_single_choice(self):
-        rng = random.Random(0)
-        assert random_output([7], rng) == 7
-
-    def test_random_output_empty_rejected(self):
-        with pytest.raises(ValueError):
-            random_output([], random.Random(0))
-
-    def test_random_output_covers_choices(self):
-        rng = random.Random(1)
-        seen = {random_output([1, 2, 3], rng) for _ in range(100)}
-        assert seen == {1, 2, 3}
+    @pytest.mark.parametrize(
+        "src, dst",
+        [((0, 0), (3, 2)), ((3, 2), (0, 0)), ((0, 3), (2, 0)), ((2, 0), (0, 3))],
+        ids=["up-right", "down-left", "down-right", "up-left"],
+    )
+    def test_route_takes_unit_steps_x_before_y(self, src, dst):
+        path = dimension_order_route(src, dst)
+        assert path[-1] == dst
+        steps = [
+            (b[0] - a[0], b[1] - a[1]) for a, b in zip([src] + path[:-1], path)
+        ]
+        assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps)
+        moves_y = [dy != 0 for _, dy in steps]
+        # Every X move comes before the first Y move.
+        assert moves_y == sorted(moves_y)
+        assert moves_y.count(False) == abs(dst[0] - src[0])
 
 
 class TestMesh2D:
@@ -216,6 +157,73 @@ class TestMesh2D:
         mesh.transfer((0, 0), (1, 1), cycle=0)
         assert mesh.stats["messages"] == 1
         assert mesh.stats["link_traversals"] == 2
+
+    def test_contains_matches_the_grid(self):
+        mesh = Mesh2D(rows=2, cols=3)
+        inside = {(x, y) for x in range(3) for y in range(2)}
+        for node in inside:
+            assert mesh.contains(node)
+        for node in [(-1, 0), (0, -1), (3, 0), (0, 2), (3, 2)]:
+            assert not mesh.contains(node)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rows": 0, "cols": 4},
+            {"rows": 4, "cols": 0},
+            {"rows": 4, "cols": 4, "router_latency": -1},
+        ],
+        ids=["no-rows", "no-cols", "negative-router-latency"],
+    )
+    def test_invalid_construction_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            Mesh2D(**kwargs)
+
+    def test_out_of_bounds_source_rejected(self):
+        mesh = Mesh2D(rows=2, cols=2)
+        with pytest.raises(ConfigurationError):
+            mesh.hop_count((2, 0), (0, 0))
+        with pytest.raises(ConfigurationError):
+            mesh.transfer((0, 5), (0, 0), cycle=0)
+
+    def test_zero_router_latency_costs_one_cycle_per_hop(self):
+        mesh = Mesh2D(rows=4, cols=8, router_latency=0)
+        assert mesh.min_latency((0, 0), (7, 3)) == 10
+        assert mesh.transfer((0, 0), (7, 3), cycle=5) == 15
+
+    @pytest.mark.parametrize("flits", [1, 2, 5])
+    def test_idle_mesh_delivers_at_the_minimum_latency(self, flits):
+        mesh = Mesh2D(rows=4, cols=8, router_latency=1)
+        for src, dst in [((0, 0), (7, 3)), ((5, 1), (2, 2)), ((3, 3), (3, 0))]:
+            mesh.reset()
+            arrival = mesh.transfer(src, dst, cycle=20, flits=flits)
+            assert arrival == 20 + mesh.min_latency(src, dst, flits)
+
+    def test_contention_is_counted_as_stall_cycles(self):
+        mesh = Mesh2D(rows=1, cols=4, router_latency=1)
+        first = mesh.transfer((0, 0), (3, 0), cycle=0, flits=4)
+        second = mesh.transfer((0, 0), (3, 0), cycle=0, flits=4)
+        # The second head waits 4 cycles for the first link; the links
+        # behind it are free again by the time it gets there.
+        assert (first, second) == (9, 13)
+        assert mesh.stats["link_stall_cycles"] == 4
+        assert mesh.stats["total_message_latency"] == 22
+        assert mesh.stats["link_traversals"] == 2 * 3 * 4
+
+    def test_link_utilisation_lists_the_xy_route(self):
+        mesh = Mesh2D(rows=2, cols=2)
+        mesh.transfer((0, 0), (1, 1), cycle=3, flits=2)
+        assert mesh.link_utilisation() == {
+            ((0, 0), (1, 0)): 5,
+            ((1, 0), (1, 1)): 7,
+        }
+
+    def test_reset_frees_every_link(self):
+        mesh = Mesh2D(rows=1, cols=4)
+        first = mesh.transfer((0, 0), (3, 0), cycle=0, flits=4)
+        mesh.reset()
+        assert mesh.link_utilisation() == {}
+        assert mesh.transfer((0, 0), (3, 0), cycle=0, flits=4) == first
 
     @settings(max_examples=40, deadline=None)
     @given(

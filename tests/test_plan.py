@@ -520,8 +520,9 @@ class TestResultCache:
 
 # ---------------------------------------------------------- concurrent writers
 class TestConcurrentWriters:
-    """Two threads of one process (a service's concurrent sweeps) saving
-    the same entry at once: both saves land, and the entry reads back."""
+    """Two threads of one process (a library caller's concurrent sweeps)
+    saving the same entry at once: both saves land, and the entry reads
+    back."""
 
     @staticmethod
     def _both_write_then_replace(monkeypatch, save) -> list:

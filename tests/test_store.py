@@ -225,6 +225,323 @@ class TestStoreRoundTrip:
         assert after.stats.store_hits == 0 and after.stats.simulated == 2
 
 
+# ------------------------------------------------------------- lookup ladder
+class TestLookupLadder:
+    """``execute`` serves a job from the cache, else from the store, else
+    simulates it, and every tier the job passed learns the result."""
+
+    BUILDERS = {"L2-256KB": conventional_spec()}
+
+    def sweep(self, builders=None):
+        return compile_sweep(builders or self.BUILDERS, two_workloads(), TINY)
+
+    def test_cache_is_consulted_before_the_store(self, tmp_path, pinned_version):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cold = execute(self.sweep(), cache=cache)
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        # Different results under the same keys: a store consulted first
+        # would serve these.
+        for key, _, _ in cache.entries():
+            store.put(key, _dummy_result("planted", ipc=9.0))
+        warm = execute(self.sweep(), cache=cache, store=store)
+        assert (warm.stats.cached, warm.stats.store_hits, warm.stats.simulated) == (2, 0, 0)
+        assert_identical(cold.results, warm.results)
+
+    def test_cache_repaired_from_the_store_keeps_the_provenance(
+        self, tmp_path, pinned_version
+    ):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        execute(self.sweep(), store=store)
+        cache = ResultCache(str(tmp_path / "cache"))
+        repair = execute(self.sweep(), cache=cache, store=store)
+        assert (repair.stats.store_hits, repair.stats.simulated) == (2, 0)
+        rows = {row["cache_key"]: row for row in store.query()}
+        entries = list(cache.entries())
+        assert sorted(key for key, _, _ in entries) == sorted(rows)
+        for key, _, meta in entries:
+            for column in (
+                "simulator_version", "builder_digest", "trace_digest",
+                "num_instructions", "mode",
+            ):
+                assert meta[column] == rows[key][column], column
+
+    def test_cache_hits_feed_the_store(self, tmp_path, pinned_version):
+        cache = ResultCache(str(tmp_path / "cache"))
+        execute(self.sweep(), cache=cache)
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        warm = execute(self.sweep(), cache=cache, store=store)
+        assert (warm.stats.cached, warm.stats.store_hits) == (2, 0)
+        assert sorted(row["cache_key"] for row in store.query()) == sorted(
+            key for key, _, _ in cache.entries()
+        )
+
+    def test_simulation_feeds_both_tiers_with_provenance(
+        self, tmp_path, pinned_version
+    ):
+        cache = ResultCache(str(tmp_path / "cache"))
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        cold = execute(self.sweep(), cache=cache, store=store)
+        assert cold.stats.simulated == 2
+        rows = store.query()
+        assert sorted(row["cache_key"] for row in rows) == sorted(
+            key for key, _, _ in cache.entries()
+        )
+        for row in rows:
+            assert row["simulator_version"] == "test-version-1"
+            assert row["num_instructions"] == TINY
+            assert row["builder_digest"] and row["trace_digest"]
+
+    def test_store_hit_carries_the_jobs_label(self, tmp_path, pinned_version):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        execute(self.sweep({"first-label": conventional_spec()}), store=store)
+        run = execute(self.sweep({"second-label": conventional_spec()}), store=store)
+        assert run.stats.store_hits == 2
+        assert [result.system for result in run.results] == ["second-label"] * 2
+
+    def test_every_tier_reports_through_on_result(self, tmp_path, pinned_version):
+        cache = ResultCache(str(tmp_path / "cache"))
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        seen = []
+
+        def record(job, result):
+            seen.append((job.trace, result.workload))
+
+        execute(self.sweep(), cache=cache, store=store, on_result=record)
+        _wipe_cache_entries(cache)
+        execute(self.sweep(), cache=cache, store=store, on_result=record)
+        execute(self.sweep(), cache=cache, store=store, on_result=record)
+        # Simulated, then store hits, then cache hits: each job once a pass.
+        assert len(seen) == 6
+        assert seen[0:2] == seen[2:4] == seen[4:6]
+
+
+# ---------------------------------------------------------------- direct API
+def _raw_rows(path, sql, params=()):
+    """Read the store file behind the store's back."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute(sql, params).fetchall()
+    finally:
+        conn.close()
+
+
+#: Two rows that differ in every column ``query`` filters on.
+_ROW_A = (
+    "a" * 64,
+    RunResult(system="L2-256KB", workload="mcf-like", category="int",
+              ipc=0.5, cycles=200.0, instructions=100.0, activity={}, core_stats={}),
+    {"simulator_version": "v1", "builder_digest": "b1" * 32,
+     "trace_digest": "t1" * 32, "num_instructions": 100, "mode": "event"},
+)
+_ROW_B = (
+    "b" * 64,
+    RunResult(system="LN3-144KB", workload="milc-like", category="fp",
+              ipc=1.25, cycles=80.0, instructions=100.0, activity={}, core_stats={}),
+    {"simulator_version": "v2", "builder_digest": "b2" * 32,
+     "trace_digest": "t2" * 32, "num_instructions": 100, "mode": "event"},
+)
+
+
+@pytest.fixture
+def two_row_store(tmp_path):
+    store = ResultStore(str(tmp_path / "results.sqlite"))
+    for key, result, meta in (_ROW_A, _ROW_B):
+        assert store.put(key, result, meta=meta)
+    yield store
+    store.close()
+
+
+class TestStoreApi:
+    def test_put_reports_new_rows_and_first_writer_wins(self, tmp_path):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        assert store.put("1" * 64, _dummy_result("wl", ipc=1.0)) is True
+        assert store.put("1" * 64, _dummy_result("wl", ipc=2.0)) is False
+        assert store.get("1" * 64).ipc == 1.0
+        assert store.stats()["rows"] == 1
+
+    def test_round_trip_preserves_value_types(self, tmp_path):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        result = RunResult(
+            system="LN2-72KB", workload="wl", category="fp", ipc=0.75,
+            cycles=1234.0, instructions=925.0,
+            activity={"L1.reads": 7, "L1.energy_nj": 0.125},
+            core_stats={"committed": 925, "rob_full_cycles": 3.5},
+        )
+        store.put("1" * 64, result)
+        back = store.get("1" * 64)
+        assert back == result
+        for name, value in result.activity.items():
+            assert type(back.activity[name]) is type(value), name
+        for name, value in result.core_stats.items():
+            assert type(back.core_stats[name]) is type(value), name
+
+    def test_put_without_meta_records_the_result_alone(self, tmp_path):
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
+        store.put("1" * 64, _dummy_result("wl"))
+        (row,) = store.query()
+        assert row["num_instructions"] == 100  # the result's own count
+        assert row["simulator_version"] is None
+        assert row["builder_digest"] is None and row["mode"] is None
+        assert _raw_rows(path, "SELECT prewarm FROM results") == [(1,)]
+
+    @pytest.mark.parametrize("prewarm", [True, False], ids=["warm", "cold"])
+    def test_prewarm_flag_is_persisted(self, tmp_path, prewarm):
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
+        store.put("1" * 64, _dummy_result("wl"), meta={"prewarm": prewarm})
+        assert _raw_rows(path, "SELECT prewarm FROM results") == [(int(prewarm),)]
+
+    @pytest.mark.parametrize(
+        "column, argument",
+        # label and version are pinned by test_query_filters_and_scenario_tag.
+        [
+            ("workload", "workload"),
+            ("category", "category"),
+            ("builder_digest", "builder_digest"),
+            ("trace_digest", "trace_digest"),
+        ],
+    )
+    def test_query_filters_on_each_column(self, two_row_store, column, argument):
+        (wanted,) = [
+            row for row in two_row_store.query() if row["cache_key"] == _ROW_B[0]
+        ]
+        rows = two_row_store.query(**{argument: wanted[column]})
+        assert [row["cache_key"] for row in rows] == [_ROW_B[0]]
+
+    def test_query_filters_combine_with_and(self, two_row_store):
+        assert two_row_store.query(label="L2-256KB", version="v2") == []
+        (row,) = two_row_store.query(label="L2-256KB", version="v1")
+        assert row["cache_key"] == _ROW_A[0]
+
+    def test_query_lists_newest_first(self, two_row_store):
+        conn = sqlite3.connect(two_row_store.path)
+        with conn:
+            conn.execute(
+                "UPDATE results SET created_at = ? WHERE cache_key = ?",
+                (1000.0, _ROW_A[0]),
+            )
+            conn.execute(
+                "UPDATE results SET created_at = ? WHERE cache_key = ?",
+                (2000.0, _ROW_B[0]),
+            )
+        conn.close()
+        assert [row["cache_key"] for row in two_row_store.query()] == [
+            _ROW_B[0], _ROW_A[0],
+        ]
+        (newest,) = two_row_store.query(limit=1)
+        assert newest["cache_key"] == _ROW_B[0]
+
+    def test_query_rows_carry_headline_columns_only(self, two_row_store):
+        (row,) = two_row_store.query(workload="mcf-like")
+        assert set(row) == {
+            "cache_key", "label", "workload", "category", "simulator_version",
+            "builder_digest", "trace_digest", "num_instructions", "mode",
+            "cycles", "ipc", "instructions", "created_at",
+        }
+        assert (row["label"], row["ipc"], row["cycles"]) == ("L2-256KB", 0.5, 200.0)
+
+    def test_stats_count_distinct_dimensions(self, two_row_store):
+        two_row_store.put(
+            "c" * 64, _dummy_result("mcf-like", system="L2-256KB"),
+            meta={"simulator_version": "v1"},
+        )
+        stats = two_row_store.stats()
+        assert (stats["rows"], stats["versions"], stats["labels"],
+                stats["workloads"]) == (3, 2, 2, 2)
+        assert stats["schema"] == STORE_SCHEMA
+        assert stats["size_bytes"] > 0
+
+    def test_malformed_row_degrades_to_a_miss_and_is_dropped(self, two_row_store):
+        conn = sqlite3.connect(two_row_store.path)
+        with conn:
+            conn.execute(
+                "UPDATE results SET result_json = '{\"cycles\": 1' "
+                "WHERE cache_key = ?", (_ROW_A[0],),
+            )
+        conn.close()
+        with pytest.warns(RuntimeWarning, match="malformed row"):
+            assert two_row_store.get(_ROW_A[0]) is None
+        assert [row["cache_key"] for row in two_row_store.query()] == [_ROW_B[0]]
+        # The next writer of that key lands again.
+        assert two_row_store.put(_ROW_A[0], _ROW_A[1], meta=_ROW_A[2])
+        assert two_row_store.get(_ROW_A[0]) == _ROW_A[1]
+
+    def test_default_path_follows_the_environment(self, tmp_path, monkeypatch):
+        from repro.sim.store import default_store_path
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
+        assert default_store_path() == str(tmp_path / "cache" / "results.sqlite")
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "elsewhere.sqlite"))
+        assert default_store_path() == str(tmp_path / "elsewhere.sqlite")
+        store = ResultStore()
+        assert store.path == str(tmp_path / "elsewhere.sqlite")
+        assert os.path.exists(store.path)
+        store.close()
+
+
+# ----------------------------------------------------------------------- CLI
+class TestStoreCli:
+    """``repro store query`` and ``repro store stats`` over a known store."""
+
+    def test_query_json_prints_one_object_per_row(self, two_row_store, capsys):
+        from repro import cli
+
+        assert cli.main(["--store", two_row_store.path, "store", "query", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert sorted(row["cache_key"] for row in rows) == [_ROW_A[0], _ROW_B[0]]
+
+    def test_query_passes_its_filters_through(self, two_row_store, capsys):
+        from repro import cli
+
+        args = ["--store", two_row_store.path, "store", "query",
+                "--category", "fp", "--version", "v2", "--json"]
+        assert cli.main(args) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["workload"] == "milc-like"
+
+    def test_query_renders_a_table(self, two_row_store, capsys):
+        from repro import cli
+
+        args = ["--store", two_row_store.path, "store", "query", "--label", "L2-256KB"]
+        assert cli.main(args) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split() == ["label", "workload", "category", "ipc", "cycles"]
+        assert row.split() == ["L2-256KB", "mcf-like", "int", "0.5000", "200"]
+
+    def test_query_without_matches_says_so(self, two_row_store, capsys):
+        from repro import cli
+
+        args = ["--store", two_row_store.path, "store", "query", "--workload", "nope"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == "no matching rows\n"
+
+    def test_stats_prints_counts_and_integrity(self, two_row_store, capsys):
+        from repro import cli
+
+        assert cli.main(["--store", two_row_store.path, "store", "stats"]) == 0
+        counts, health = capsys.readouterr().out.splitlines()
+        assert counts.startswith(
+            f"store {two_row_store.path}: schema {STORE_SCHEMA}, 2 rows, "
+            "2 labels, 2 workloads, 2 simulator versions, "
+        )
+        assert health == "integrity: ok"
+
+    def test_store_subcommand_defaults_to_the_cache_dir_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
+        assert cli.main(["store", "stats"]) == 0
+        path = str(tmp_path / "cache" / "results.sqlite")
+        assert capsys.readouterr().out.startswith(f"store {path}: schema ")
+        assert os.path.exists(path)
+
+
 # -------------------------------------------------------------------- schema
 class TestStoreSchema:
     def test_schema_mismatch_refuses_to_open(self, tmp_path):
@@ -309,9 +626,9 @@ class TestStoreConcurrency:
         store.close()
 
     def test_finished_threads_connections_do_not_pile_up(self, tmp_path):
-        # The service runs each sweep in a thread of its own: a finished
-        # thread's connection is closed when the next one opens, not kept
-        # open until close().
+        # A caller may use the store from one short-lived thread after
+        # another: a finished thread's connection is closed when the next
+        # one opens, not kept open until close().
         store = ResultStore(str(tmp_path / "results.sqlite"))
         opened = []
 
@@ -332,8 +649,8 @@ class TestStoreConcurrency:
 
     def test_close_leaves_a_running_threads_connection_to_it(self, tmp_path):
         # A thread holds its handle between _conn() and execute while the
-        # main thread closes the store (the service's shutdown after
-        # Ctrl-C, with a sweep thread mid-put).  Its write must land and
+        # main thread closes the store (a shutdown after Ctrl-C, with a
+        # worker thread mid-put).  Its write must land and
         # the healthy file must not be quarantined; its stale handle is
         # closed by the thread itself at its next call.
         path = str(tmp_path / "results.sqlite")

@@ -18,7 +18,6 @@ import multiprocessing
 import os
 import shutil
 import signal
-import threading
 import time
 import warnings
 from multiprocessing import connection as mp_connection
@@ -110,9 +109,9 @@ def count_waits(monkeypatch):
     return calls
 
 
-def assert_few_waits(calls, jobs, wall, supervisors=1):
-    """A few waits per job, plus one a second per supervisor (the 1 s cap)."""
-    bound = WAITS_PER_JOB * jobs + supervisors * (math.ceil(wall) + 1)
+def assert_few_waits(calls, jobs, wall):
+    """A few waits per job, plus one a second (the 1 s cap)."""
+    bound = WAITS_PER_JOB * jobs + math.ceil(wall) + 1
     assert len(calls) <= bound, (
         f"{len(calls)} waits for {jobs} jobs in {wall:.2f} s: the supervisor polls"
     )
@@ -327,29 +326,6 @@ class TestSupervisorWait:
         assert run.stats.workers_effective == 2
         assert_few_waits(calls, len(compiled.jobs), wall)
         assert_identical(run.results, reference)
-
-    def test_concurrent_sweeps_from_threads_stay_asleep(self, monkeypatch):
-        """Two supervisors in one process, as ``repro serve`` runs them."""
-        plans = [self.overlapping_plan(), self.overlapping_plan()]
-        reference = reference_results(plans[0])
-        calls = count_waits(monkeypatch)
-        runs = [None, None]
-
-        def sweep(slot):
-            runs[slot] = execute(plans[slot], workers=2)
-
-        threads = [threading.Thread(target=sweep, args=(slot,)) for slot in (0, 1)]
-        start = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.monotonic() - start
-        jobs = sum(len(compiled.jobs) for compiled in plans)
-        assert_few_waits(calls, jobs, wall, supervisors=2)
-        for run in runs:
-            assert not run.failures
-            assert_identical(run.results, reference)
 
     def test_backoff_expiry_dispatches_to_an_idle_worker(self, monkeypatch):
         """A retry lands when its backoff ends, not at the 1 s wait cap."""

@@ -3,9 +3,9 @@
 Two layers, one contract — bit-identical to sequential by construction:
 
 * the **persistent worker pool**: workers outlive ``execute()`` calls,
-  are reused across sweeps (and across concurrent sweeps from threads —
-  the old ``_FORK_LOCK`` is gone), are recycled per supervision policy
-  without changing a single result, and exit when their supervisor dies;
+  are reused across sweeps, are forked only from a single-threaded
+  process, are replaced or recycled without changing a single result,
+  and exit when their supervisor dies;
 * the **mmap trace path**: a pooled ``.lntr`` capture replayed through
   ``mmap`` decodes to exactly the bytes, digest, and instructions of the
   eager loader, including its fallback on a filesystem that cannot map.
@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 
@@ -42,7 +43,6 @@ from repro.sim.plan import (
     SupervisionPolicy,
     TracePool,
     compile_sweep,
-    configure_worker_pool,
     execute,
     shutdown_worker_pool,
     trace_digest,
@@ -72,11 +72,9 @@ def isolated_faults():
 
 @pytest.fixture(autouse=True)
 def pool_defaults():
-    """Each test starts from an empty pool with default knobs."""
+    """Each test starts from an empty pool."""
     shutdown_worker_pool()
     yield
-    plan._POOL.size_override = None
-    plan._POOL.max_jobs_override = None
     shutdown_worker_pool()
 
 
@@ -125,10 +123,12 @@ class TestPersistentPool:
     def test_fork_lock_is_gone(self):
         assert not hasattr(plan, "_FORK_LOCK")
 
-    def test_concurrent_executes_from_threads(self):
-        """Two sweeps in flight at once, both bit-identical to sequential."""
+    def test_concurrent_executes_from_threads(self, monkeypatch):
+        """Two sweeps in flight at once run in-process, both bit-identical
+        to sequential: no worker is forked from a multi-threaded process."""
         plans = [small_plan(), other_plan()]
         references = [reference_results(compiled) for compiled in plans]
+        monkeypatch.setattr(plan, "_FALLBACK_WARNED", False)
         runs = [None, None]
         errors = []
 
@@ -141,14 +141,52 @@ class TestPersistentPool:
         threads = [
             threading.Thread(target=sweep, args=(index,)) for index in (0, 1)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
+        with pytest.warns(RuntimeWarning, match="threads are running"):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
         assert not errors
         for run, reference in zip(runs, references):
             assert run is not None and not run.failures
+            assert run.stats.workers_effective == 1
             assert_identical(run.results, reference)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        """A fork taken while another thread holds a lock leaves that lock
+        held in the worker, so ``execute`` runs in-process instead, with
+        one warning per process."""
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        monkeypatch.setattr(plan, "_FALLBACK_WARNED", False)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            before = worker_pool_stats()["forked"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs = [execute(compiled, workers=2, supervision=FAST) for _ in range(2)]
+            forked = worker_pool_stats()["forked"] - before
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert forked == 0
+        for run in runs:
+            assert not run.failures
+            assert run.stats.workers_effective == 1
+            assert_identical(run.results, reference)
+        fallbacks = [
+            warning for warning in caught
+            if issubclass(warning.category, RuntimeWarning)
+            and "threads are running" in str(warning.message)
+        ]
+        assert len(fallbacks) == 1
+        # Python 3.12+ warns when a multi-threaded process forks.
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, DeprecationWarning)
+        ]
 
     def test_crashed_worker_is_replaced_by_a_fresh_fork(self):
         compiled = small_plan()
@@ -179,34 +217,6 @@ class TestPersistentPool:
         assert after["idle"] == 1  # the other worker still pooled
         assert_identical(run.results, reference)
 
-    def test_max_jobs_recycles_workers(self):
-        compiled = small_plan()
-        reference = reference_results(compiled)
-        configure_worker_pool(max_jobs=1)
-        before = worker_pool_stats()
-        run = execute(compiled, workers=2, supervision=FAST)
-        after = worker_pool_stats()
-        assert not run.failures
-        assert after["recycled"] - before["recycled"] == 2
-        assert after["idle"] == 0
-        assert_identical(run.results, reference)
-
-    def test_pool_size_zero_disables_retention(self):
-        compiled = small_plan()
-        configure_worker_pool(size=0)
-        run = execute(compiled, workers=2, supervision=FAST)
-        assert not run.failures
-        assert worker_pool_stats()["idle"] == 0
-
-    def test_no_pool_env_discards_on_release(self, monkeypatch):
-        compiled = small_plan()
-        monkeypatch.setenv("REPRO_NO_POOL", "1")
-        first = execute(compiled, workers=2, supervision=FAST)
-        assert worker_pool_stats()["idle"] == 0
-        second = execute(compiled, workers=2, supervision=FAST)
-        assert second.stats.pool_reused == 0
-        assert_identical(first.results, second.results)
-
     def test_describe_appends_pool_counters(self):
         text = ExecutionStats().describe()
         # Existing CI greps key off these exact "token=value " shapes.
@@ -214,6 +224,30 @@ class TestPersistentPool:
         assert "simulated=0 " in text
         assert "retries=0 " in text
         assert text.endswith("pool_reused=0")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "jobs", "simulated", "cached", "pool_loads", "workers_effective",
+            "retries", "timeouts", "quarantined", "store_hits", "pool_reused",
+        ],
+    )
+    def test_describe_reports_each_counter_under_its_own_name(self, name):
+        # The CLI's "plan stats:" line, which CI and the end-to-end
+        # harness parse: distinct values catch a token wired to the
+        # wrong field.
+        names = [field.name for field in dataclasses.fields(ExecutionStats)]
+        stats = ExecutionStats(**{other: 100 + index for index, other in enumerate(names)})
+        tokens = stats.describe().split()
+        assert tokens.count(f"{name}={getattr(stats, name)}") == 1
+        assert [token.split("=")[0] for token in tokens].count(name) == 1
+
+    def test_degraded_means_recovery_machinery_ran(self):
+        for field in dataclasses.fields(ExecutionStats):
+            stats = ExecutionStats(**{field.name: 1})
+            expected = field.name in ("retries", "timeouts", "quarantined")
+            assert stats.degraded() is expected, field.name
+        assert not ExecutionStats().degraded()
 
     def test_add_sums_pool_counters(self):
         total = ExecutionStats()
@@ -235,24 +269,6 @@ class TestPersistentPool:
             expected = index + 1 if name == "workers_effective" else 2 * (index + 1)
             assert getattr(total, name) == expected, name
 
-    def test_healthz_reports_worker_pool(self):
-        from repro.service.manager import SweepManager
-
-        payload = SweepManager().healthz()
-        assert set(payload["worker_pool"]) == {
-            "idle", "forked", "reused", "recycled", "discarded",
-        }
-        assert payload["executor"]["pool_reused"] == 0
-
-    def test_healthz_executor_fields(self):
-        from repro.service.manager import SweepManager
-
-        payload = SweepManager().healthz()
-        assert set(payload["executor"]) == {
-            "jobs", "simulated", "cached", "store_hits", "inflight_hits",
-            "retries", "timeouts", "quarantined", "pool_reused", "degraded",
-        }
-
     @pytest.mark.parametrize("prewarm", [True, False], ids=["warm", "cold"])
     def test_fresh_workers_match_direct_path(self, cache, prewarm):
         """Fresh workers, decoding every trace from its pool file, give
@@ -272,6 +288,110 @@ class TestPersistentPool:
         assert not second.failures
         assert second.stats.simulated == len(compiled.jobs)
         assert_identical(second.results, reference)
+
+
+def _fallback_warnings(caught):
+    return [
+        warning for warning in caught
+        if issubclass(warning.category, RuntimeWarning)
+        and "worker fan-out disabled" in str(warning.message)
+    ]
+
+
+class TestForkGuard:
+    """``execute`` forks pool workers only from a single-threaded process,
+    and only when it has more than one job to fan out."""
+
+    @pytest.fixture
+    def fresh_warning(self, monkeypatch):
+        # The fallback warns once per process: re-arm it so a test sees
+        # whether this call would warn.
+        monkeypatch.setattr(plan, "_FALLBACK_WARNED", False)
+
+    @pytest.fixture
+    def other_thread(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        yield thread
+        release.set()
+        thread.join(timeout=30)
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_sequential_requests_ignore_other_threads(
+        self, fresh_warning, other_thread, workers
+    ):
+        compiled = small_plan()
+        before = worker_pool_stats()["forked"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = execute(compiled, workers=workers)
+        assert worker_pool_stats()["forked"] == before
+        assert run.stats.workers_effective == 1
+        assert not _fallback_warnings(caught)
+
+    def test_a_single_pending_job_runs_here_without_warning(
+        self, fresh_warning, other_thread
+    ):
+        compiled = compile_sweep(
+            {"L2-256KB": conventional_spec()}, two_workloads()[:1], TINY
+        )
+        before = worker_pool_stats()["forked"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = execute(compiled, workers=2)
+        assert worker_pool_stats()["forked"] == before
+        assert (run.stats.simulated, run.stats.workers_effective) == (1, 1)
+        assert not _fallback_warnings(caught)
+
+    def test_a_fully_cached_sweep_neither_forks_nor_warns(
+        self, cache, fresh_warning, other_thread
+    ):
+        cold = execute(small_plan(), cache=cache)
+        before = worker_pool_stats()["forked"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warm = execute(small_plan(), workers=2, cache=cache)
+        assert worker_pool_stats()["forked"] == before
+        assert (warm.stats.cached, warm.stats.simulated) == (len(cold.results), 0)
+        assert not _fallback_warnings(caught)
+        assert_identical(cold.results, warm.results)
+
+    def test_fallback_warning_names_the_running_threads(
+        self, fresh_warning, other_thread
+    ):
+        count = threading.active_count()
+        assert count > 1
+        with pytest.warns(
+            RuntimeWarning,
+            match=f"workers=3 requested but {count} threads are running",
+        ):
+            run = execute(small_plan(), workers=3)
+        assert run.stats.workers_effective == 1
+
+    def test_fan_out_resumes_once_the_other_thread_is_gone(self):
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        finished = threading.Thread(target=lambda: None)
+        finished.start()
+        finished.join(timeout=30)
+        assert threading.active_count() == 1
+        before = worker_pool_stats()["forked"]
+        run = execute(compiled, workers=2, supervision=FAST)
+        assert worker_pool_stats()["forked"] - before == 2
+        assert run.stats.workers_effective == 2
+        assert_identical(run.results, reference)
+
+    def test_missing_fork_falls_back_with_its_own_reason(
+        self, fresh_warning, monkeypatch
+    ):
+        compiled = small_plan()
+        reference = reference_results(compiled)
+        monkeypatch.delattr(os, "fork")
+        with pytest.warns(RuntimeWarning, match="lacks os.fork"):
+            run = execute(compiled, workers=2)
+        assert run.stats.workers_effective == 1
+        assert_identical(run.results, reference)
 
 
 class TestOneJobRunner:
@@ -359,19 +479,8 @@ def _exited(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
-def _fd_targets(pid: int) -> set:
-    directory = f"/proc/{pid}/fd"
-    targets = set()
-    for name in os.listdir(directory):
-        try:
-            targets.add(os.readlink(os.path.join(directory, name)))
-        except OSError:
-            pass  # closed while listing
-    return targets
-
-
 #: A 2-worker sweep that prints its pool workers' PIDs and then dies
-#: without any shutdown, the way a killed ``repro serve`` dies.
+#: without any shutdown, the way a killed ``repro report`` dies.
 _DYING_SUPERVISOR = """
 import os, signal
 from repro.cpu.workloads import workload_by_name
@@ -414,24 +523,6 @@ class TestWorkerDescriptors:
         for pid in alive:
             os.kill(pid, signal.SIGKILL)  # do not leak them past the test
         assert alive == [], "pool workers outlived their killed supervisor"
-
-    def test_workers_do_not_hold_the_service_listening_socket(self, tmp_path):
-        from repro.service import SweepManager, create_server
-
-        server = create_server(
-            "127.0.0.1", 0, SweepManager(cache=ResultCache(str(tmp_path / "cache")))
-        )
-        try:
-            listener = f"socket:[{os.fstat(server.fileno()).st_ino}]"
-            assert listener in _fd_targets(os.getpid())
-            run = execute(small_plan(), workers=2, supervision=FAST)
-            assert not run.failures
-            pids = [worker.process.pid for worker in plan._POOL._idle]
-            assert len(pids) == 2
-            for pid in pids:
-                assert listener not in _fd_targets(pid), f"worker {pid} holds the port"
-        finally:
-            server.server_close()
 
 
 def refuse_mmap(monkeypatch):
